@@ -19,14 +19,12 @@
  *   dir2bsim --record /tmp/t.trc --refs 10000
  *   dir2bsim --trace /tmp/t.trc --protocol classical
  *   dir2bsim --timed --protocol tb --procs 8 --refs 20000
- *   dir2bsim --timed --shards 4 --protocol fm --refs 20000
+ *   dir2bsim --timed --protocol fm --refs 20000
  *   dir2bsim --list-protocols
  *
  * --timed switches from the functional tier to the discrete-event
  * tier (latencies, contention, the coherence oracle on every
- * completion); there --refs counts references PER PROCESSOR and
- * --shards N > 1 partitions the run by directory home across worker
- * threads with bit-identical statistics (docs/ARCHITECTURE.md).
+ * completion); there --refs counts references PER PROCESSOR.
  */
 
 #include <algorithm>
@@ -46,13 +44,14 @@
 #include "report/report.hh"
 #include "system/func_system.hh"
 #include "system/func_telemetry.hh"
-#include "timed/sharded_system.hh"
+#include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
 #include "trace/trace_io.hh"
 #include "trace/trace_stats.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
+#include "util/parse_args.hh"
 
 using namespace dir2b;
 
@@ -91,11 +90,9 @@ struct Options
     bool invariants = false;
     bool analyze = false;
     bool timed = false;
-    unsigned shards = 1;
     std::uint64_t dirRamBudget = 0;
     std::uint64_t spaceBlocks = 0;
     std::uint64_t think = 1;
-    bool fastForward = true;
 };
 
 void
@@ -119,7 +116,7 @@ usage(const char *argv0)
         "                      running\n"
         "  --trace-in FILE     mmap-replay a binary trace (zero-copy\n"
         "                      batched dispatch; docs/TRACES.md).\n"
-        "                      Works with --timed and --shards too;\n"
+        "                      Works with --timed too;\n"
         "                      results are bit-identical to the run\n"
         "                      that recorded the stream\n"
         "  --trace-out FILE    record the synthetic workload as a\n"
@@ -148,9 +145,6 @@ usage(const char *argv0)
         "  --timed             run the discrete-event tier instead\n"
         "                      (protocols tb|fm|yf; --refs is per\n"
         "                      processor there)\n"
-        "  --shards N          with --timed: shard the run by home\n"
-        "                      across N wheels/threads (default 1;\n"
-        "                      statistics are bit-identical)\n"
         "  --dir-ram-budget BYTES\n"
         "                      total directory RAM budget (suffixes\n"
         "                      K/M/G); cold directory pages compress\n"
@@ -163,9 +157,6 @@ usage(const char *argv0)
         "                      huge sparse directories\n"
         "  --think N           with --timed: processor think time\n"
         "                      between references (default 1)\n"
-        "  --no-fast-forward   with --timed --shards N: disable the\n"
-        "                      quiescent-epoch fast-forward (A/B\n"
-        "                      knob; statistics are identical)\n"
         "  --list-protocols    print registered protocol names\n",
         argv0);
 }
@@ -184,34 +175,31 @@ parse(int argc, char **argv)
         if (arg == "--protocol") {
             o.protocol = need(i);
         } else if (arg == "--procs") {
-            o.procs = static_cast<ProcId>(std::atoi(need(i)));
+            o.procs = parseCount<ProcId>(need(i), "--procs");
             o.procsSet = true;
         } else if (arg == "--sets") {
-            o.sets = static_cast<std::size_t>(std::atoll(need(i)));
+            o.sets = parseCount<std::size_t>(need(i), "--sets");
         } else if (arg == "--ways") {
-            o.ways = static_cast<std::size_t>(std::atoll(need(i)));
+            o.ways = parseCount<std::size_t>(need(i), "--ways");
         } else if (arg == "--modules") {
-            o.modules = static_cast<ModuleId>(std::atoi(need(i)));
+            o.modules = parseCount<ModuleId>(need(i), "--modules");
         } else if (arg == "--tb") {
-            o.tbCapacity = static_cast<std::size_t>(
-                std::atoll(need(i)));
+            o.tbCapacity = parseCount<std::size_t>(need(i), "--tb");
         } else if (arg == "--bias") {
-            o.biasCapacity = static_cast<std::size_t>(
-                std::atoll(need(i)));
+            o.biasCapacity = parseCount<std::size_t>(need(i), "--bias");
         } else if (arg == "--q") {
             o.q = std::atof(need(i));
         } else if (arg == "--w") {
             o.w = std::atof(need(i));
         } else if (arg == "--shared") {
-            o.sharedBlocks = static_cast<std::size_t>(
-                std::atoll(need(i)));
+            o.sharedBlocks = parseCount<std::size_t>(need(i), "--shared");
         } else if (arg == "--locality") {
             o.locality = std::atof(need(i));
         } else if (arg == "--refs") {
-            o.refs = static_cast<std::uint64_t>(std::atoll(need(i)));
+            o.refs = parseCount<std::uint64_t>(need(i), "--refs");
             o.refsSet = true;
         } else if (arg == "--seed") {
-            o.seed = static_cast<std::uint64_t>(std::atoll(need(i)));
+            o.seed = parseCount<std::uint64_t>(need(i), "--seed");
         } else if (arg == "--trace") {
             o.tracePath = need(i);
         } else if (arg == "--record") {
@@ -239,10 +227,11 @@ parse(int argc, char **argv)
                 const std::string tok = list.substr(
                     pos, comma == std::string::npos ? comma
                                                     : comma - pos);
-                const int v = std::atoi(tok.c_str());
-                if (v <= 0)
+                const auto v = parseCount<ProcId>(tok.c_str(),
+                                                  "--sweep-procs");
+                if (v == 0)
                     DIR2B_FATAL("--sweep-procs: bad count '", tok, "'");
-                o.sweepProcs.push_back(static_cast<ProcId>(v));
+                o.sweepProcs.push_back(v);
                 if (comma == std::string::npos)
                     break;
                 pos = comma + 1;
@@ -250,30 +239,21 @@ parse(int argc, char **argv)
             if (o.sweepProcs.empty())
                 DIR2B_FATAL("--sweep-procs: empty list");
         } else if (arg == "--threads") {
-            const long v = std::atol(need(i));
-            if (v <= 0)
+            o.threads = parseCount<unsigned>(need(i), "--threads");
+            if (o.threads == 0)
                 DIR2B_FATAL("--threads wants a positive integer");
-            o.threads = static_cast<unsigned>(v);
         } else if (arg == "--no-oracle") {
             o.noOracle = true;
         } else if (arg == "--timed") {
             o.timed = true;
-        } else if (arg == "--shards") {
-            const long v = std::atol(need(i));
-            if (v <= 0)
-                DIR2B_FATAL("--shards wants a positive integer");
-            o.shards = static_cast<unsigned>(v);
         } else if (arg == "--dir-ram-budget") {
             o.dirRamBudget = parseByteSize(need(i),
                                            "--dir-ram-budget");
         } else if (arg == "--space-blocks") {
-            o.spaceBlocks = static_cast<std::uint64_t>(
-                std::strtoull(need(i), nullptr, 10));
+            o.spaceBlocks = parseCount<std::uint64_t>(need(i),
+                                                      "--space-blocks");
         } else if (arg == "--think") {
-            o.think = static_cast<std::uint64_t>(
-                std::strtoull(need(i), nullptr, 10));
-        } else if (arg == "--no-fast-forward") {
-            o.fastForward = false;
+            o.think = parseCount<std::uint64_t>(need(i), "--think");
         } else if (arg == "--analyze") {
             o.analyze = true;
         } else if (arg == "--invariants") {
@@ -370,8 +350,7 @@ effectiveInterval(const Options &o)
 
 /**
  * Series params: the deterministic run configuration only.  Host
- * knobs (shards, threads) and bit-identical A/B knobs (fastForward)
- * are deliberately excluded so serial and sharded runs of the same
+ * knobs (threads) are deliberately excluded so runs of the same
  * configuration emit byte-identical artifacts (docs/METRICS.md).
  */
 Json
@@ -563,7 +542,6 @@ runTimed(Options o)
     cfg.network = NetKind::Crossbar;
     cfg.dirRamBudget = o.dirRamBudget;
     cfg.thinkTime = o.think;
-    cfg.fastForward = o.fastForward;
 
     SyntheticConfig scfg;
     scfg.numProcs = procs;
@@ -594,17 +572,16 @@ runTimed(Options o)
     }
 
     const auto start = std::chrono::steady_clock::now();
-    const TimedRunResult r = runTimedWorkload(
-        cfg, o.shards, o.threads,
+    TimedSystem sys(cfg);
+    const TimedRunResult r = sys.run(
         [&](ProcId p) -> std::optional<MemRef> {
             return procSrc ? procSrc->next(p) : stream.nextFor(p);
         },
         refsPerProc);
 
     std::printf("# dir2bsim timed: protocol=%s procs=%u cache=%zux%zu "
-                "modules=%u shards=%u refs/proc=%llu%s\n",
+                "modules=%u refs/proc=%llu%s\n",
                 o.protocol.c_str(), procs, o.sets, o.ways, o.modules,
-                o.shards,
                 static_cast<unsigned long long>(refsPerProc),
                 reader ? " (binary trace replay)" : "");
     std::printf("%-24s %12llu\n", "cycles",
@@ -624,15 +601,6 @@ runTimed(Options o)
                 static_cast<unsigned long long>(r.netWaitCycles));
     std::printf("%-24s %12llu\n", "stolenCycles",
                 static_cast<unsigned long long>(r.stolenCycles));
-    if (o.shards > 1) {
-        std::printf("%-24s %12llu\n", "epochs",
-                    static_cast<unsigned long long>(r.epochs));
-        std::printf("%-24s %12llu\n", "inlineEpochs",
-                    static_cast<unsigned long long>(r.inlineEpochs));
-        std::printf("%-24s %12llu\n", "shardEpochsSkipped",
-                    static_cast<unsigned long long>(
-                        r.shardEpochsSkipped));
-    }
     if (hasDirStore(r.dirStore)) {
         const DirStoreCounters &d = r.dirStore;
         std::printf("%-24s %12llu\n", "dirResidentBytes",
@@ -661,7 +629,6 @@ runTimed(Options o)
         Json c = Json::object();
         c.set("section", "timed");
         c.set("procs", procs);
-        c.set("shards", o.shards);
         c.set("cycles", static_cast<unsigned long long>(r.finalTick));
         c.set("refs",
               static_cast<unsigned long long>(r.refsCompleted));
@@ -678,11 +645,6 @@ runTimed(Options o)
               static_cast<unsigned long long>(r.latencyP50));
         c.set("latencyP99",
               static_cast<unsigned long long>(r.latencyP99));
-        c.set("epochs", static_cast<unsigned long long>(r.epochs));
-        c.set("inlineEpochs",
-              static_cast<unsigned long long>(r.inlineEpochs));
-        c.set("shardEpochsSkipped",
-              static_cast<unsigned long long>(r.shardEpochsSkipped));
         if (hasDirStore(r.dirStore))
             c.set("dirStore", dirStoreJson(r.dirStore));
         if (reader)
@@ -691,10 +653,8 @@ runTimed(Options o)
             c.set("series", seriesProvenanceJson(*sampler));
         cells.push(std::move(c));
         Json params = configJson(o);
-        params.set("shards", o.shards);
         params.set("timed", true);
         params.set("think", static_cast<unsigned long long>(o.think));
-        params.set("fastForward", o.fastForward);
         Json artifact = makeSweepArtifact("dir2bsim", std::move(params),
                                           std::move(cells));
         const auto wall =

@@ -44,8 +44,8 @@ namespace dir2b
  *  v3: cells produced by a TieredStore-backed directory may carry a
  *  "dirStore" object (resident/compressed/segment bytes, per-tier
  *  page counts and tier-movement counters); when present it must be
- *  complete.  Timed cells may also carry epoch accounting (epochs /
- *  inlineEpochs / shardEpochsSkipped).
+ *  complete.  Timed cells written by earlier versions may also carry
+ *  engine epoch-accounting fields; they are not validated.
  *  v4: cells produced by replaying a binary trace (docs/TRACES.md)
  *  may carry a "traceReplay" provenance object (records, blocks,
  *  blockRecords, mappedBytes, batched flag); when present it must be

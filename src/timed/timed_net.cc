@@ -33,9 +33,9 @@ TimedNetwork::connect(unsigned ep, Handler handler)
 }
 
 Tick
-TimedNetwork::claimDeliveryAt(unsigned dst, Tick sentAt)
+TimedNetwork::claimDelivery(unsigned dst)
 {
-    Tick deliverAt = sentAt + latency_;
+    Tick deliverAt = eq_.now() + latency_;
     switch (kind_) {
       case NetKind::Ideal:
         break;
@@ -72,7 +72,7 @@ TimedNetwork::send(unsigned src, unsigned dst, Message msg)
     DIR2B_TRC(trc_, instant(eq_.now(), trk_, mnemonic(msg.kind),
                             msg.addr, src, dst));
 
-    const Tick deliverAt = claimDeliveryAt(dst, eq_.now());
+    const Tick deliverAt = claimDelivery(dst);
     eq_.scheduleAt(deliverAt, [this, src, dst, msg] {
         handlers_[dst](src, msg);
     });
@@ -90,7 +90,7 @@ TimedNetwork::broadcast(unsigned src, const std::vector<unsigned> &dsts,
         // every listener observes the same slot — the free fan-out
         // that makes the §2.5 bus schemes viable, and that a general
         // interconnection network does not offer.
-        const Tick deliverAt = claimDeliveryAt(0, eq_.now());
+        const Tick deliverAt = claimDelivery(0);
         for (unsigned dst : dsts) {
             DIR2B_ASSERT(dst < handlers_.size() && handlers_[dst],
                          "broadcast to unconnected endpoint ", dst);

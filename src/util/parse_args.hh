@@ -3,10 +3,10 @@
  * Shared command-line value parsing.
  *
  * Every byte-size knob (--dir-ram-budget, --trace-buffer) and every
- * count/interval knob (--series-interval) across the benches, the CLI
- * and the tools accepts the same grammar: an unsigned decimal number
- * with an optional K/M/G (KiB/MiB/GiB — binary, case insensitive)
- * suffix.  The parser lives here, once, so a hardened corner case
+ * count/interval knob (--series-interval, --procs, --refs, ...) across
+ * the benches, the CLI and the tools accepts the same grammar: an
+ * unsigned decimal number with an optional K/M/G (KiB/MiB/GiB —
+ * binary, case insensitive) suffix.  The parser lives here, once, so a hardened corner case
  * (negative wrap, ERANGE clamp, post-multiply overflow) is fixed for
  * every consumer at the same time.
  */
@@ -15,6 +15,9 @@
 #define DIR2B_UTIL_PARSE_ARGS_HH
 
 #include <cstdint>
+#include <limits>
+
+#include "util/logging.hh"
 
 namespace dir2b
 {
@@ -37,6 +40,18 @@ std::uint64_t parseByteSize(const char *s, const char *flag);
  *  same grammar, but zero is rejected — a sampler cannot advance by
  *  zero references or ticks. */
 std::uint64_t parseInterval(const char *s, const char *flag);
+
+/** parseScaledUint for a count stored in T (--procs, --refs, ...):
+ *  also fatal when the value does not fit T. */
+template <typename T>
+T
+parseCount(const char *s, const char *flag)
+{
+    const std::uint64_t v = parseScaledUint(s, flag, "count");
+    if (v > std::numeric_limits<T>::max())
+        DIR2B_FATAL(flag, ": '", s, "' is too large");
+    return static_cast<T>(v);
+}
 
 } // namespace dir2b
 

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -287,6 +288,116 @@ TEST(EventQueue, HotPathCapturesStayInline)
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(hits, 1);
     EXPECT_EQ(EventQueue::Callback::heapFallbacks(), before);
+}
+
+TEST(EventQueue, RunUntilStopsStrictlyBelowHorizon)
+{
+    EventQueue eq;
+    std::vector<Tick> fired;
+    eq.scheduleAt(1, [&] { fired.push_back(1); });
+    eq.scheduleAt(4, [&] { fired.push_back(4); });
+    eq.scheduleAt(5, [&] { fired.push_back(5); });
+
+    std::uint64_t budget = 100;
+    EXPECT_TRUE(eq.runUntil(5, budget));
+    EXPECT_EQ(fired, (std::vector<Tick>{1, 4}));
+    // The tick-5 event is level-0 resident: the bound is exact.
+    EXPECT_EQ(eq.nextTickLowerBound(), 5u);
+
+    EXPECT_TRUE(eq.runUntil(6, budget));
+    EXPECT_EQ(fired, (std::vector<Tick>{1, 4, 5}));
+    EXPECT_EQ(eq.nextTickLowerBound(), maxTick);
+    EXPECT_EQ(eq.now(), 5u);
+}
+
+TEST(EventQueue, RunUntilReportsBudgetExhaustion)
+{
+    EventQueue eq;
+    for (int i = 0; i < 4; ++i)
+        eq.scheduleAt(1, [] {});
+    std::uint64_t budget = 2;
+    EXPECT_FALSE(eq.runUntil(10, budget));
+    EXPECT_EQ(eq.executed(), 2u);
+}
+
+TEST(EventQueue, LowerBoundRefinesAcrossRunUntil)
+{
+    // An event far in the future sits in a coarse wheel level, so the
+    // bound may be inexact (bucket start) — but it must never exceed
+    // the true next tick, and repeated bounded advances must refine
+    // it until the event fires.
+    EventQueue eq;
+    bool fired = false;
+    const Tick when = 100000;
+    eq.scheduleAt(when, [&] { fired = true; });
+    std::uint64_t budget = 100;
+    Tick bound = eq.nextTickLowerBound();
+    while (!fired) {
+        ASSERT_LE(bound, when);
+        ASSERT_TRUE(eq.runUntil(bound + 1, budget));
+        const Tick next = eq.nextTickLowerBound();
+        if (!fired) {
+            ASSERT_GT(next, bound) << "bound failed to refine";
+        }
+        bound = next;
+    }
+    EXPECT_EQ(eq.now(), when);
+}
+
+TEST(EventQueue, LowerBoundDifferentialAcrossAllLevels)
+{
+    // Events spread over all four wheel levels and the overflow heap,
+    // some scheduling children as they fire.  Between bounded
+    // runUntil steps the lower bound must never exceed the true
+    // earliest pending tick (a brute-force multiset minimum), nothing
+    // may fire at or past the horizon, and the bound is maxTick
+    // exactly when the queue has drained.
+    EventQueue eq;
+    Rng rng(0x10b0d);
+    std::multiset<Tick> pending;
+    const Tick spans[] = {1,       63,     64,
+                          4095,    4096,   262143,
+                          262144,  (Tick{1} << 24) - 1,
+                          Tick{1} << 24,   Tick{1} << 30};
+    auto span = [&] { return rng.range(spans[rng.range(10)]); };
+    Tick horizon = maxTick;
+    bool firedOutOfPlace = false;
+    std::function<void(Tick)> add = [&](Tick when) {
+        pending.insert(when);
+        eq.scheduleAt(when, [&, when] {
+            if (eq.now() != when || when >= horizon)
+                firedOutOfPlace = true;
+            pending.erase(pending.find(when));
+            if (rng.chance(0.3))
+                add(when + span());
+        });
+    };
+    for (int i = 0; i < 3000; ++i)
+        add(span());
+
+    std::uint64_t budget = ~0ULL;
+    std::uint64_t steps = 0;
+    for (;;) {
+        const Tick bound = eq.nextTickLowerBound();
+        if (pending.empty()) {
+            EXPECT_EQ(bound, maxTick);
+            break;
+        }
+        ASSERT_GE(bound, eq.now());
+        ASSERT_LE(bound, *pending.begin()) << "step " << steps;
+        // Horizons from just past the bound (bucket refinement only)
+        // to far beyond it (many slots and cascades per step).
+        horizon = bound + 1 + (rng.chance(0.5) ? 0 : span());
+        ASSERT_TRUE(eq.runUntil(horizon, budget));
+        ASSERT_FALSE(firedOutOfPlace) << "step " << steps;
+        ASSERT_LT(eq.now(), horizon);
+        if (!pending.empty()) {
+            ASSERT_GE(*pending.begin(), horizon);
+        }
+        ++steps;
+    }
+    EXPECT_EQ(eq.pending(), 0u);
+    EXPECT_GT(eq.executed(), 3000u);
 }
 
 } // namespace

@@ -9,7 +9,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <cstdio>
+#include <cstring>
 #include <optional>
+#include <ostream>
 #include <vector>
 
 #include "timed/timed_system.hh"
@@ -161,6 +165,29 @@ struct YfParam
     NetKind net;
     std::uint64_t seed;
 };
+
+// gtest lists each case with its parameter's raw bytes, padding
+// included. Print the same byte dump from a zero-padded copy so the
+// listed case names do not pick up whatever the padding held.
+void
+PrintTo(const YfParam &prm, std::ostream *os)
+{
+    unsigned char bytes[sizeof(YfParam)] = {};
+    std::memcpy(bytes + offsetof(YfParam, perBlock), &prm.perBlock,
+                sizeof prm.perBlock);
+    std::memcpy(bytes + offsetof(YfParam, net), &prm.net, sizeof prm.net);
+    std::memcpy(bytes + offsetof(YfParam, seed), &prm.seed,
+                sizeof prm.seed);
+    *os << sizeof bytes << "-byte object <";
+    char hex[3];
+    for (std::size_t i = 0; i < sizeof bytes; ++i) {
+        if (i != 0)
+            *os << (i % 2 == 0 ? ' ' : '-');
+        std::snprintf(hex, sizeof hex, "%02X", bytes[i]);
+        *os << hex;
+    }
+    *os << '>';
+}
 
 class YfProperty : public ::testing::TestWithParam<YfParam>
 {

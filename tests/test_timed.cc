@@ -1,8 +1,9 @@
 /**
  * @file
  * Tests for the timed (discrete-event) tier: basic round trips, the
- * §3.2.5 synchronization scenario (E8), the eviction/query race, and
- * randomized coherence runs over both controller designs.
+ * §3.2.5 synchronization scenario (E8), the eviction/query race,
+ * randomized coherence runs over both controller designs, and the
+ * per-location-SC oracle's checks and contract.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include "timed/timed_oracle.hh"
 #include "timed/timed_system.hh"
 #include "trace/synthetic.hh"
+#include "util/random.hh"
 
 namespace dir2b
 {
@@ -371,18 +373,20 @@ TEST(TimedSystem, StatsDumpCoversEveryComponent)
 TEST(TimedOracle, DetectsFabricatedValue)
 {
     TimedOracle o;
-    o.onWriteComplete(0, 10, 111);
+    o.onWriteComplete(0, 10, o.freshValue());
     EXPECT_DEATH(o.onReadComplete(1, 10, 222), "never written");
 }
 
 TEST(TimedOracle, DetectsBackwardsTimeTravel)
 {
     TimedOracle o;
-    o.onWriteComplete(0, 10, 111);
-    o.onWriteComplete(0, 10, 222);
-    o.onReadComplete(1, 10, 222);
+    const Value v1 = o.freshValue();
+    const Value v2 = o.freshValue();
+    o.onWriteComplete(0, 10, v1);
+    o.onWriteComplete(0, 10, v2);
+    o.onReadComplete(1, 10, v2);
     // Having seen version 2, processor 1 may not observe version 1.
-    EXPECT_DEATH(o.onReadComplete(1, 10, 111), "coherence violation");
+    EXPECT_DEATH(o.onReadComplete(1, 10, v1), "coherence violation");
 }
 
 TEST(TimedOracle, AllowsStaleReadBeforeObservingNewWrite)
@@ -390,19 +394,125 @@ TEST(TimedOracle, AllowsStaleReadBeforeObservingNewWrite)
     // The ack-free window: a processor that has not yet seen the new
     // version may still legally read the old one.
     TimedOracle o;
+    const Value v = o.freshValue();
     o.onReadComplete(1, 10, initialValue(10));
-    o.onWriteComplete(0, 10, 111);
+    o.onWriteComplete(0, 10, v);
     o.onReadComplete(1, 10, initialValue(10)); // stale but legal
-    o.onReadComplete(1, 10, 111);
+    o.onReadComplete(1, 10, v);
 }
 
 TEST(TimedOracle, FinalCheckCatchesLostWrite)
 {
     TimedOracle o;
-    o.onWriteComplete(0, 10, 111);
-    o.onWriteComplete(1, 10, 222);
-    EXPECT_DEATH(o.checkFinal(10, 111), "conservation violation");
-    o.checkFinal(10, 222);
+    const Value v1 = o.freshValue();
+    const Value v2 = o.freshValue();
+    o.onWriteComplete(0, 10, v1);
+    o.onWriteComplete(1, 10, v2);
+    EXPECT_DEATH(o.checkFinal(10, v1), "conservation violation");
+    o.checkFinal(10, v2);
+}
+
+TEST(TimedOracle, RejectsWriteOfValueNeverIssued)
+{
+    TimedOracle o;
+    o.freshValue();
+    EXPECT_DEATH(o.onWriteComplete(0, 10, 111), "never issued");
+}
+
+TEST(TimedOracle, RejectsValueCompletingTwice)
+{
+    TimedOracle o;
+    const Value v = o.freshValue();
+    o.onWriteComplete(0, 10, v);
+    EXPECT_DEATH(o.onWriteComplete(1, 11, v), "completed twice");
+}
+
+TEST(TimedOracle, DetectsReadOfIssuedButUncompletedWrite)
+{
+    TimedOracle o;
+    const Value done = o.freshValue();
+    const Value pending = o.freshValue();
+    o.onWriteComplete(0, 10, done);
+    EXPECT_DEATH(o.onReadComplete(1, 10, pending), "never written");
+}
+
+TEST(TimedOracle, DetectsCrossBlockLeak)
+{
+    TimedOracle o;
+    const Value v10 = o.freshValue();
+    o.onWriteComplete(0, 10, v10);
+    o.onWriteComplete(0, 11, o.freshValue());
+    EXPECT_DEATH(o.onReadComplete(1, 11, v10), "never written to it");
+}
+
+TEST(TimedOracle, HighBlockAddressesDoNotAliasAcrossProcessors)
+{
+    // Processor 1's view of block 5 and processor 0's view of block
+    // 2^48 + 5 are independent; a (proc, block) key that folds the
+    // processor into the address bits would conflate them and reject
+    // this legal history.
+    const Addr low = 5;
+    const Addr high = (Addr{1} << 48) | 5;
+    TimedOracle o;
+    const Value lowV1 = o.freshValue();
+    o.onWriteComplete(2, low, lowV1);
+    Value highV3 = 0;
+    for (int i = 0; i < 3; ++i) {
+        highV3 = o.freshValue();
+        o.onWriteComplete(2, high, highV3);
+    }
+    o.onReadComplete(0, high, highV3);
+    o.onReadComplete(1, low, lowV1);
+    EXPECT_EQ(o.readsChecked(), 2u);
+    o.checkFinal(low, lowV1);
+    o.checkFinal(high, highV3);
+}
+
+TEST(TimedOracle, AcceptsRandomLegalHistory)
+{
+    // Generate a legal per-location-SC history: versions of each block
+    // are serial in completion order, writes complete out of issue
+    // order, and every read returns any version at least as new as
+    // the last one its processor saw of that block.
+    constexpr ProcId procs = 4;
+    const std::vector<Addr> blocks = {0, 1, 7, 64, (Addr{1} << 48) | 1,
+                                      (Addr{3} << 60) | 7};
+    Rng rng(0xd12b);
+    TimedOracle o;
+    // versions[b][k] is the value of version k of blocks[b].
+    std::vector<std::vector<Value>> versions;
+    for (Addr a : blocks)
+        versions.push_back({initialValue(a)});
+    std::vector<std::vector<std::size_t>> seen(
+        procs, std::vector<std::size_t>(blocks.size(), 0));
+    std::vector<Value> pending;
+
+    constexpr int completions = 20000;
+    for (int i = 0; i < completions; ++i) {
+        while (pending.size() < 8)
+            pending.push_back(o.freshValue());
+        const auto p = static_cast<ProcId>(rng.range(procs));
+        const std::size_t b = rng.range(blocks.size());
+        auto &hist = versions[b];
+        if (rng.chance(0.3)) {
+            const std::size_t k = rng.range(pending.size());
+            const Value v = pending[k];
+            pending[k] = pending.back();
+            pending.pop_back();
+            o.onWriteComplete(p, blocks[b], v);
+            hist.push_back(v);
+            seen[p][b] = hist.size() - 1;
+        } else {
+            const std::size_t k =
+                seen[p][b] + rng.range(hist.size() - seen[p][b]);
+            o.onReadComplete(p, blocks[b], hist[k]);
+            seen[p][b] = k;
+        }
+    }
+    EXPECT_EQ(o.readsChecked() + o.writesRecorded(),
+              std::uint64_t{completions});
+    for (std::size_t b = 0; b < blocks.size(); ++b)
+        o.checkFinal(blocks[b], versions[b].back());
 }
 
 } // namespace

@@ -24,10 +24,11 @@
  *    migrate into the wheel as time approaches.
  *
  *  - FIFO order within a tick is preserved exactly: slot lists append
- *    in schedule order, and because a bucket cascade can interleave an
- *    early-scheduled event behind a later direct insert, each drained
- *    slot is verified (and, rarely, re-sorted) by sequence number
- *    before firing.
+ *    in schedule order, and a bucket is cascaded as soon as now()
+ *    enters its range, before anything executes there, so a cascade
+ *    never files an older event behind a newer direct insert.  Every
+ *    level-0 append asserts that order, and a slot fires straight
+ *    down its list.
  *
  *  - runUntil() executes strictly below a horizon and
  *    nextTickLowerBound() bounds the next event from below; the
@@ -39,6 +40,7 @@
 #define DIR2B_SIM_EVENT_QUEUE_HH
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -57,13 +59,14 @@ class EventQueue
 {
   public:
     /** Inline capture capacity: the largest timed-tier callback
-     *  ([this, src, dst, msg]) is ~48 bytes; oversized captures heap-
-     *  allocate and show up in InlineFunction::heapFallbacks(). */
+     *  (supplyData's [this, dst, Message, a]) is 64 bytes; oversized
+     *  captures heap-allocate and show up in
+     *  InlineFunction::heapFallbacks(). */
     static constexpr std::size_t inlineBytes = 104;
 
     using Callback = InlineFunction<inlineBytes>;
 
-    EventQueue() { arena_.reserve(1024); }
+    EventQueue() = default;
 
     /** Current simulated time. */
     Tick now() const { return now_; }
@@ -157,8 +160,8 @@ class EventQueue
         over_.clear();
         for (Level &lv : levels_) {
             lv.occ = 0;
-            lv.head.assign(slotCount, nil);
-            lv.tail.assign(slotCount, nil);
+            lv.head.fill(nil);
+            lv.tail.fill(nil);
         }
         now_ = 0;
         seq_ = 0;
@@ -183,12 +186,18 @@ class EventQueue
         Callback cb;
     };
 
+    static constexpr std::array<std::uint32_t, slotCount>
+    filled(std::uint32_t v)
+    {
+        std::array<std::uint32_t, slotCount> a{};
+        a.fill(v);
+        return a;
+    }
+
     struct Level
     {
-        std::vector<std::uint32_t> head =
-            std::vector<std::uint32_t>(slotCount, nil);
-        std::vector<std::uint32_t> tail =
-            std::vector<std::uint32_t>(slotCount, nil);
+        std::array<std::uint32_t, slotCount> head = filled(nil);
+        std::array<std::uint32_t, slotCount> tail = filled(nil);
         std::uint64_t occ = 0;
     };
 
@@ -246,7 +255,11 @@ class EventQueue
         if (lv.tail[slot] == nil) {
             lv.head[slot] = idx;
         } else {
-            arena_[lv.tail[slot]].next = idx;
+            Node &tail = arena_[lv.tail[slot]];
+            DIR2B_ASSERT(level != 0 || tail.seq < n.seq,
+                         "event filed out of FIFO order at tick ",
+                         n.when);
+            tail.next = idx;
         }
         lv.tail[slot] = idx;
         lv.occ |= std::uint64_t{1} << slot;
@@ -381,7 +394,7 @@ class EventQueue
             if (c.level == static_cast<int>(levelCount))
                 continue; // overflow top: migrate at new now_
             // Cascade the chosen bucket into lower levels, in list
-            // order so equal-tick FIFO is preserved where possible.
+            // order so equal-tick FIFO is preserved.
             const auto slot = static_cast<std::size_t>(
                 (now_ >> (slotBits * c.level)) & (slotCount - 1));
             std::uint32_t n =
@@ -405,62 +418,45 @@ class EventQueue
     {
         const auto slot = static_cast<std::size_t>(now_ & (slotCount - 1));
         while (levels_[0].occ >> slot & 1) {
-            scratch_.clear();
-            for (std::uint32_t n = detachSlot(0, slot); n != nil;
-                 n = arena_[n].next) {
-                DIR2B_ASSERT(arena_[n].when == now_,
-                             "level-0 slot holds foreign tick");
-                scratch_.push_back(n);
-            }
-            // A cascade can append an early-scheduled (low-seq) node
-            // behind a later direct insert; restore FIFO order.  The
-            // sortedness check keeps the common path linear.
-            if (!std::is_sorted(scratch_.begin(), scratch_.end(),
-                                [this](std::uint32_t a,
-                                       std::uint32_t b) {
-                                    return arena_[a].seq <
-                                           arena_[b].seq;
-                                })) {
-                std::sort(scratch_.begin(), scratch_.end(),
-                          [this](std::uint32_t a, std::uint32_t b) {
-                              return arena_[a].seq < arena_[b].seq;
-                          });
-            }
-            for (std::size_t i = 0; i < scratch_.size(); ++i) {
+            // Fired nodes go back to the freelist as we walk, but the
+            // rest of the detached list is untouched by the callbacks
+            // (they can only file new nodes), so `next` stays valid.
+            for (std::uint32_t n = detachSlot(0, slot); n != nil;) {
                 if (budget == 0) {
-                    reinsertUndrained(slot, i);
+                    reinsertUndrained(slot, n);
                     return false;
                 }
                 --budget;
-                const std::uint32_t idx = scratch_[i];
-                Callback cb = std::move(arena_[idx].cb);
-                freeNode(idx);
+                Node &node = arena_[n];
+                DIR2B_ASSERT(node.when == now_,
+                             "level-0 slot holds foreign tick");
+                const std::uint32_t next = node.next;
+                Callback cb = std::move(node.cb);
+                freeNode(n);
                 --pending_;
                 ++executed_;
                 cb();
+                n = next;
             }
         }
         return true;
     }
 
-    /** Put scratch_[from..] back at the front of the given slot,
-     *  ahead of any same-tick events scheduled during the drain. */
+    /** Put the undrained list starting at `from` back at the front of
+     *  the given slot, ahead of any same-tick events scheduled during
+     *  the drain (which are all newer, so the slot stays sorted). */
     void
-    reinsertUndrained(std::size_t slot, std::size_t from)
+    reinsertUndrained(std::size_t slot, std::uint32_t from)
     {
-        std::uint32_t head = levels_[0].head[slot];
-        std::uint32_t tail = levels_[0].tail[slot];
-        for (std::size_t i = scratch_.size(); i-- > from;) {
-            const std::uint32_t idx = scratch_[i];
-            arena_[idx].next = head;
-            head = idx;
-            if (tail == nil)
-                tail = idx;
-        }
-        levels_[0].head[slot] = head;
-        levels_[0].tail[slot] = tail;
-        if (head != nil)
-            levels_[0].occ |= std::uint64_t{1} << slot;
+        std::uint32_t last = from;
+        while (arena_[last].next != nil)
+            last = arena_[last].next;
+        Level &lv = levels_[0];
+        arena_[last].next = lv.head[slot];
+        if (lv.tail[slot] == nil)
+            lv.tail[slot] = last;
+        lv.head[slot] = from;
+        lv.occ |= std::uint64_t{1} << slot;
     }
 
     std::vector<Node> arena_;
@@ -468,8 +464,6 @@ class EventQueue
     Level levels_[levelCount];
     /** Min-heap (by when, then seq) of beyond-horizon node indices. */
     std::vector<std::uint32_t> over_;
-    /** Drain batch reused across ticks. */
-    std::vector<std::uint32_t> scratch_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;
     std::uint64_t executed_ = 0;

@@ -1,6 +1,7 @@
 #include "sim/stats.hh"
 
 #include <algorithm>
+#include <bit>
 #include <iomanip>
 #include <sstream>
 
@@ -10,23 +11,23 @@ namespace dir2b
 {
 
 Histogram::Histogram(std::uint64_t bucketWidth, std::size_t nbuckets)
-    : bucketWidth_(bucketWidth), buckets_(nbuckets + 1, 0)
+    : bucketWidth_(bucketWidth),
+      widthShift_(std::has_single_bit(bucketWidth)
+                      ? std::countr_zero(bucketWidth)
+                      : -1),
+      size_(nbuckets + 1)
 {
     DIR2B_ASSERT(bucketWidth > 0, "histogram bucket width must be > 0");
     DIR2B_ASSERT(nbuckets > 0, "histogram needs at least one bucket");
+    if (size_ > inlineBuckets)
+        heap_.assign(size_, 0);
 }
 
-void
-Histogram::sample(std::uint64_t v)
+std::uint64_t
+Histogram::bucket(std::size_t i) const
 {
-    std::size_t idx = static_cast<std::size_t>(v / bucketWidth_);
-    if (idx >= buckets_.size() - 1)
-        idx = buckets_.size() - 1;
-    ++buckets_[idx];
-    ++count_;
-    sum_ += static_cast<double>(v);
-    min_ = std::min(min_, v);
-    max_ = std::max(max_, v);
+    DIR2B_ASSERT(i < size_, "histogram bucket ", i, " out of range");
+    return data()[i];
 }
 
 std::uint64_t
@@ -37,11 +38,12 @@ Histogram::percentile(double frac) const
         return 0;
     const auto target = static_cast<std::uint64_t>(
         frac * static_cast<double>(count_));
+    const std::uint64_t *b = data();
     std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
+    for (std::size_t i = 0; i < size_; ++i) {
+        seen += b[i];
         if (seen >= target) {
-            if (i == buckets_.size() - 1)
+            if (i == size_ - 1)
                 return max_;
             return (i + 1) * bucketWidth_ - 1;
         }
@@ -53,12 +55,14 @@ void
 Histogram::merge(const Histogram &other)
 {
     DIR2B_ASSERT(bucketWidth_ == other.bucketWidth_ &&
-                     buckets_.size() == other.buckets_.size(),
+                     size_ == other.size_,
                  "histogram merge requires identical geometry");
     if (other.count_ == 0)
         return;
-    for (std::size_t i = 0; i < buckets_.size(); ++i)
-        buckets_[i] += other.buckets_[i];
+    std::uint64_t *b = data();
+    const std::uint64_t *ob = other.data();
+    for (std::size_t i = 0; i < size_; ++i)
+        b[i] += ob[i];
     count_ += other.count_;
     sum_ += other.sum_;
     min_ = std::min(min_, other.min_);
@@ -68,7 +72,7 @@ Histogram::merge(const Histogram &other)
 void
 Histogram::reset()
 {
-    std::fill(buckets_.begin(), buckets_.end(), 0);
+    std::fill(data(), data() + size_, 0);
     count_ = 0;
     sum_ = 0;
     min_ = ~0ULL;

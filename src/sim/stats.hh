@@ -67,7 +67,22 @@ class Histogram
     explicit Histogram(std::uint64_t bucketWidth = 1,
                        std::size_t nbuckets = 32);
 
-    void sample(std::uint64_t v);
+    /** Inline: the timed tier samples a few histograms per reference.
+     *  Power-of-two bucket widths (every one the timed tier uses)
+     *  index with a shift instead of a 64-bit division. */
+    void
+    sample(std::uint64_t v)
+    {
+        std::size_t idx = static_cast<std::size_t>(
+            widthShift_ >= 0 ? v >> widthShift_ : v / bucketWidth_);
+        if (idx >= size_ - 1)
+            idx = size_ - 1;
+        ++data()[idx];
+        ++count_;
+        sum_ += static_cast<double>(v);
+        min_ = v < min_ ? v : min_;
+        max_ = v > max_ ? v : max_;
+    }
 
     std::uint64_t samples() const { return count_; }
     double mean() const { return count_ ? sum_ / count_ : 0.0; }
@@ -75,8 +90,8 @@ class Histogram
     std::uint64_t max() const { return max_; }
 
     /** Count in bucket i; the last bucket collects overflow. */
-    std::uint64_t bucket(std::size_t i) const { return buckets_.at(i); }
-    std::size_t numBuckets() const { return buckets_.size(); }
+    std::uint64_t bucket(std::size_t i) const;
+    std::size_t numBuckets() const { return size_; }
     std::uint64_t bucketWidth() const { return bucketWidth_; }
 
     /** Smallest v such that at least frac of samples are <= v. */
@@ -96,8 +111,26 @@ class Histogram
     void reset();
 
   private:
+    /** Buckets up to this count (every histogram the simulator
+     *  builds) live inside the object: a timed system constructs
+     *  dozens, and each would otherwise be a heap allocation. */
+    static constexpr std::size_t inlineBuckets = 65;
+
+    std::uint64_t *data() { return heap_.empty() ? inline_ : heap_.data(); }
+    const std::uint64_t *
+    data() const
+    {
+        return heap_.empty() ? inline_ : heap_.data();
+    }
+
     std::uint64_t bucketWidth_;
-    std::vector<std::uint64_t> buckets_;
+    /** log2(bucketWidth_) when it is a power of two, else -1. */
+    int widthShift_;
+    /** Bucket count, overflow bucket included. */
+    std::size_t size_;
+    std::uint64_t inline_[inlineBuckets] = {};
+    /** The buckets when there are more than inlineBuckets. */
+    std::vector<std::uint64_t> heap_;
     std::uint64_t count_ = 0;
     double sum_ = 0;
     std::uint64_t min_ = ~0ULL;

@@ -15,12 +15,18 @@
  *    REQUEST(j,a,'write')."
  *
  * which is exactly what convertToWriteMiss() implements.
+ *
+ * Completion is a fixed hook, not a callback: every controller is
+ * built with the TimedSystem it reports to and, when a transaction
+ * completes, calls TimedSystem::onComplete(p, ref, wval, v) directly.
+ * The reference and the stored value travel in the transaction
+ * record, so the issue -> complete -> re-issue loop carries no
+ * closure and allocates nothing per reference.
  */
 
 #ifndef DIR2B_TIMED_CACHE_CTRL_HH
 #define DIR2B_TIMED_CACHE_CTRL_HH
 
-#include <functional>
 #include <optional>
 
 #include "cache/cache_array.hh"
@@ -34,6 +40,8 @@
 
 namespace dir2b
 {
+
+class TimedSystem;
 
 /** Per-cache statistics of the timed tier. */
 struct CacheCtrlStats
@@ -59,17 +67,18 @@ struct CacheCtrlStats
 class TwoBitCacheCtrl
 {
   public:
-    using Done = std::function<void(Value)>;
-
+    /** @param sys the system whose onComplete() hears every completed
+     *  reference of this cache. */
     TwoBitCacheCtrl(ProcId id, const TimedConfig &cfg, EventQueue &eq,
-                    TimedNetwork &net);
+                    TimedNetwork &net, TimedSystem &sys);
 
     /**
-     * Begin one LOAD/STORE.  Exactly one may be outstanding; the done
-     * callback fires with the read (or stored) value when the
-     * transaction completes.
+     * Begin one LOAD/STORE (wval: the value a store writes).  Exactly
+     * one may be outstanding; when the transaction completes the
+     * system's onComplete() receives the reference, wval and the read
+     * (or stored) value.
      */
-    void processorRequest(const MemRef &ref, Value wval, Done done);
+    void processorRequest(const MemRef &ref, Value wval);
 
     virtual ~TwoBitCacheCtrl() = default;
 
@@ -81,16 +90,9 @@ class TwoBitCacheCtrl
     const CacheCtrlStats &stats() const { return stats_; }
     const CacheArray &cache() const { return cache_; }
 
-    /** Drain hook for final conservation checks. */
-    void forEachValidLine(
-        const std::function<void(const CacheLine &)> &fn) const
-    {
-        cache_.forEachValid(fn);
-    }
-
   protected:
-    /** Completing: the outcome is decided and the completion callback
-     *  is scheduled; incoming commands must no longer convert or
+    /** Completing: the outcome is decided and complete() is
+     *  scheduled; incoming commands must no longer convert or
      *  re-answer this transaction. */
     enum class Phase { AwaitGrant, AwaitData, Completing };
 
@@ -99,7 +101,6 @@ class TwoBitCacheCtrl
         Phase phase;
         MemRef ref;
         Value wval;
-        Done done;
         Tick start;
         /** Trace span label for the whole transaction (literal). */
         const char *op = nullptr;
@@ -109,6 +110,7 @@ class TwoBitCacheCtrl
 
     unsigned homeEndpoint(Addr a) const;
     void sendToHome(Addr a, Message msg);
+    /** End the transaction and report it to the system. */
     void complete(Value v);
     void startMiss();
     void convertToWriteMiss();
@@ -144,6 +146,7 @@ class TwoBitCacheCtrl
     const TimedConfig &cfg_;
     EventQueue &eq_;
     TimedNetwork &net_;
+    TimedSystem &sys_;
     CacheArray cache_;
     std::optional<SnoopFilter> snoop_;
     std::optional<Txn> txn_;

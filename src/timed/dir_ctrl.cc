@@ -1,7 +1,5 @@
 #include "timed/dir_ctrl.hh"
 
-#include <vector>
-
 #include "util/logging.hh"
 
 namespace dir2b
@@ -52,9 +50,20 @@ TwoBitDirCtrl::onPutResolved(Addr a, ProcId requester, RW rw,
     finishRequest(requester, a, rw, answer.data, true);
 }
 
+const std::vector<unsigned> &
+TwoBitDirCtrl::othersThan(ProcId except)
+{
+    fanout_.clear();
+    for (ProcId p = 0; p < cfg_.numProcs; ++p) {
+        if (p != except)
+            fanout_.push_back(p);
+    }
+    return fanout_;
+}
+
 void
 TwoBitDirCtrl::broadcastInvalidate(Addr a, ProcId except,
-                                   std::function<void()> onAcked)
+                                   AckedFn onAcked)
 {
     ++stats_.broadInvs;
 
@@ -68,12 +77,7 @@ TwoBitDirCtrl::broadcastInvalidate(Addr a, ProcId except,
     inv.kind = MsgKind::BroadInv;
     inv.proc = except;
     inv.addr = a;
-    std::vector<unsigned> dsts;
-    dsts.reserve(cfg_.numProcs - 1);
-    for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-        if (p != except)
-            dsts.push_back(p);
-    }
+    const std::vector<unsigned> &dsts = othersThan(except);
     awaitAcks(a, except, static_cast<unsigned>(dsts.size()),
               std::move(onAcked));
     DIR2B_TRC(trc_, instant(eq_.now(), trk_, "broadinv_fanout", a,
@@ -104,11 +108,7 @@ TwoBitDirCtrl::processRequest(const Message &msg)
         q.proc = k;
         q.addr = a;
         q.rw = msg.rw;
-        std::vector<unsigned> dsts;
-        for (ProcId p = 0; p < cfg_.numProcs; ++p) {
-            if (p != k)
-                dsts.push_back(p);
-        }
+        const std::vector<unsigned> &dsts = othersThan(k);
         awaitPut(a, k, msg.rw);
         DIR2B_TRC(trc_, instant(eq_.now(), trk_, "broadquery_fanout", a,
                                 dsts.size()));

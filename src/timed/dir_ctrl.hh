@@ -52,10 +52,14 @@ class TwoBitDirCtrl : public TimedDirCtrl
                        bool writeBack);
 
     /** BROADINV(a, except): queue deletion, broadcast, ack barrier. */
-    void broadcastInvalidate(Addr a, ProcId except,
-                             std::function<void()> onAcked);
+    void broadcastInvalidate(Addr a, ProcId except, AckedFn onAcked);
+
+    /** Every cache but `except`, in processor order (the broadcast
+     *  fan-out); refills one reused vector. */
+    const std::vector<unsigned> &othersThan(ProcId except);
 
     TwoBitDirectory dir_;
+    std::vector<unsigned> fanout_;
 };
 
 } // namespace dir2b

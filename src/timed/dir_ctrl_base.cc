@@ -228,7 +228,7 @@ TimedDirCtrl::awaitPut(Addr a, ProcId requester, RW rw)
 
 void
 TimedDirCtrl::awaitAcks(Addr a, ProcId requester, unsigned count,
-                        std::function<void()> onAcked)
+                        AckedFn onAcked)
 {
     DIR2B_ASSERT(count > 0, "awaitAcks with nothing to wait for");
     Busy b;

@@ -24,9 +24,8 @@
 #ifndef DIR2B_TIMED_DIR_CTRL_BASE_HH
 #define DIR2B_TIMED_DIR_CTRL_BASE_HH
 
-#include <functional>
-#include <list>
 #include <string>
+#include <vector>
 
 #include "memory/backing_store.hh"
 #include "obs/trace_recorder.hh"
@@ -35,6 +34,7 @@
 #include "timed/timed_config.hh"
 #include "timed/timed_net.hh"
 #include "util/flat_map.hh"
+#include "util/inline_function.hh"
 
 namespace dir2b
 {
@@ -68,6 +68,11 @@ struct DirCtrlStats
 class TimedDirCtrl
 {
   public:
+    /** What to do once an invalidation's acks are all in: captures a
+     *  controller pointer, a requester and a block (or a lambda that
+     *  does), stored inline in the busy entry. */
+    using AckedFn = InlineFunction<32>;
+
     TimedDirCtrl(ModuleId id, const TimedConfig &cfg, EventQueue &eq,
                  TimedNetwork &net);
     virtual ~TimedDirCtrl() = default;
@@ -100,7 +105,7 @@ class TimedDirCtrl
         ProcId requester;
         RW rw;
         unsigned acksRemaining = 0;
-        std::function<void()> onAcked;
+        AckedFn onAcked;
         Tick since = 0; ///< when this busy window opened
     };
 
@@ -138,7 +143,7 @@ class TimedDirCtrl
 
     /** Enter the AwaitingAcks busy state for block a. */
     void awaitAcks(Addr a, ProcId requester, unsigned count,
-                   std::function<void()> onAcked);
+                   AckedFn onAcked);
 
     /** Pull a queued EJECT for block a out of the queue, if any
      *  (write always; read only under ejectReadAnswersWait()). */
@@ -172,7 +177,9 @@ class TimedDirCtrl
     void processInvAck(const Message &msg);
     void noteQueueDepth();
 
-    std::list<Queued> queue_;
+    /** Arrival order; deletions anywhere shift the (short) tail, and
+     *  the storage is reused so a steady state allocates nothing. */
+    std::vector<Queued> queue_;
     FlatMap<Addr, Busy> busy_;
     Tick busyUntil_ = 0;
     bool dispatchScheduled_ = false;

@@ -1,11 +1,16 @@
 #include "timed/timed_net.hh"
 
 #include <algorithm>
+#include <type_traits>
 
 #include "util/logging.hh"
 
 namespace dir2b
 {
+
+// Delivery events capture a Message by value; a trivially copyable
+// Message keeps them on the event kernel's memcpy relocation path.
+static_assert(std::is_trivially_copyable_v<Message>);
 
 TimedNetwork::TimedNetwork(EventQueue &eq, unsigned endpoints,
                            Tick latency, NetKind kind,

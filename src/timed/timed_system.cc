@@ -1,7 +1,6 @@
 #include "timed/timed_system.hh"
 
 #include <string>
-#include <unordered_map>
 
 #include "sim/stats.hh"
 
@@ -11,6 +10,7 @@
 #include "timed/yf_cache_ctrl.hh"
 #include "timed/yf_dir_ctrl.hh"
 #include "obs/telemetry.hh"
+#include "util/flat_map.hh"
 #include "util/logging.hh"
 
 namespace dir2b
@@ -31,15 +31,15 @@ TimedSystem::TimedSystem(const TimedConfig &cfg) : cfg_(cfg)
         switch (cfg_.protocol) {
           case TimedProto::FullMap:
             caches_.push_back(std::make_unique<FmCacheCtrl>(
-                p, cfg_, eq_, *net_));
+                p, cfg_, eq_, *net_, *this));
             break;
           case TimedProto::YenFu:
             caches_.push_back(std::make_unique<YfCacheCtrl>(
-                p, cfg_, eq_, *net_));
+                p, cfg_, eq_, *net_, *this));
             break;
           case TimedProto::TwoBit:
             caches_.push_back(std::make_unique<TwoBitCacheCtrl>(
-                p, cfg_, eq_, *net_));
+                p, cfg_, eq_, *net_, *this));
             break;
         }
         TwoBitCacheCtrl *cc = caches_.back().get();
@@ -79,34 +79,35 @@ TimedSystem::issueNext(ProcId p)
 {
     if (remaining_[p] == 0)
         return;
-    auto ref = source_(p);
+    auto ref = (*source_)(p);
     if (!ref)
         return;
     DIR2B_ASSERT(ref->proc == p, "source produced reference for ",
                  ref->proc, " when asked for ", p);
     --remaining_[p];
 
-    const bool isWrite = ref->write;
-    const Addr a = ref->addr;
-    const Value wval = isWrite ? oracle_.freshValue() : 0;
+    const Value wval = ref->write ? oracle_.freshValue() : 0;
+    caches_[p]->processorRequest(*ref, wval);
+}
 
-    caches_[p]->processorRequest(*ref, wval,
-                                 [this, p, a, isWrite, wval](Value v) {
-        if (isWrite) {
-            DIR2B_ASSERT(v == wval, "write completion value mismatch");
-            oracle_.onWriteComplete(p, a, v);
-        } else {
-            oracle_.onReadComplete(p, a, v);
-        }
-        ++completed_;
-        eq_.schedule(cfg_.thinkTime, [this, p] { issueNext(p); });
-    });
+void
+TimedSystem::onComplete(ProcId p, const MemRef &ref, Value wval,
+                        Value v)
+{
+    if (ref.write) {
+        DIR2B_ASSERT(v == wval, "write completion value mismatch");
+        oracle_.onWriteComplete(p, ref.addr, v);
+    } else {
+        oracle_.onReadComplete(p, ref.addr, v);
+    }
+    ++completed_;
+    eq_.schedule(cfg_.thinkTime, [this, p] { issueNext(p); });
 }
 
 TimedRunResult
 TimedSystem::run(const ProcSource &source, std::uint64_t refsPerProc)
 {
-    source_ = source;
+    source_ = &source;
     remaining_.assign(cfg_.numProcs, refsPerProc);
 
     TelemetrySampler *sampler = cfg_.sampler;
@@ -152,6 +153,8 @@ TimedSystem::run(const ProcSource &source, std::uint64_t refsPerProc)
         }
     }
 
+    source_ = nullptr;
+
     for (ModuleId m = 0; m < cfg_.numModules; ++m) {
         DIR2B_ASSERT(dirs_[m]->quiesced(), "controller ", m,
                      " did not quiesce: ", dirs_[m]->stuckReport());
@@ -169,8 +172,8 @@ TimedSystem::auditFinalState() const
 {
     // Gather the unique dirty copy (if any) per block; clean copies
     // must equal memory at quiesce (every downgrade wrote back).
-    std::unordered_map<Addr, Value> dirty;
-    std::unordered_map<Addr, unsigned> dirtyCount;
+    FlatMap<Addr, Value> dirty;
+    FlatMap<Addr, unsigned> dirtyCount;
 
     auto memValue = [&](Addr a) {
         const auto m = static_cast<ModuleId>(a % dirs_.size());
@@ -179,7 +182,7 @@ TimedSystem::auditFinalState() const
 
     for (ProcId p = 0; p < static_cast<ProcId>(caches_.size());
          ++p) {
-        caches_[p]->forEachValidLine([&](const CacheLine &l) {
+        caches_[p]->cache().forEachValid([&](const CacheLine &l) {
             if (l.dirty()) {
                 dirty[l.addr] = l.value;
                 ++dirtyCount[l.addr];

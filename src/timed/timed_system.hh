@@ -96,6 +96,14 @@ class TimedSystem
     const TimedNetwork &network() const { return *net_; }
     const TimedConfig &config() const { return cfg_; }
 
+    /**
+     * Completion hook of every cache controller: processor p's
+     * reference ref completed with value v (wval is the value a write
+     * stored).  Checks v with the oracle, counts the completion and
+     * schedules p's next issue one think time later.
+     */
+    void onComplete(ProcId p, const MemRef &ref, Value wval, Value v);
+
     /** Current simulated time (the trace/debug hook's clock). */
     Tick now() const { return eq_.now(); }
 
@@ -147,7 +155,8 @@ class TimedSystem
     std::vector<std::unique_ptr<TwoBitCacheCtrl>> caches_;
     std::vector<std::unique_ptr<TimedDirCtrl>> dirs_;
     TimedOracle oracle_;
-    ProcSource source_;
+    /** The caller's source, held only for the duration of run(). */
+    const ProcSource *source_ = nullptr;
     std::vector<std::uint64_t> remaining_;
     std::uint64_t completed_ = 0;
     /** Probe context for cfg_.sampler (lives as long as the run). */

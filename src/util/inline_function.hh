@@ -12,6 +12,16 @@
  * InlineFunction is deliberately minimal: void() signature, move-only,
  * a fixed inline capacity, and a heap fallback for oversized captures
  * (counted globally so tests can assert the hot paths never take it).
+ *
+ * A target that is trivially copyable and trivially destructible (a
+ * capture of pointers, integers and POD messages: every timed-tier
+ * callback) is trivially relocatable: a move is one memcpy and
+ * destruction does nothing, so the kernel's move-out-then-invoke makes
+ * one indirect call per event, not three.  The memcpy copies the whole
+ * inline buffer, not just the target: a fixed size compiles to a few
+ * vector moves, where the target's own size would be a library call
+ * (measured: about 10% of timed-tier run time).  The bytes past the
+ * target are copied but never read.
  */
 
 #ifndef DIR2B_UTIL_INLINE_FUNCTION_HH
@@ -20,6 +30,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -114,7 +125,9 @@ class InlineFunction
         /** Move the callable between nodes; src is left destroyed. */
         void (*relocate)(void *dst, void *src);
         void (*destroy)(void *);
-        bool heap;
+        /** Relocate is a memcpy of the buffer and destroy a no-op;
+         *  relocate/destroy are then never called. */
+        bool trivial;
     };
 
     template <typename F>
@@ -128,7 +141,8 @@ class InlineFunction
                 static_cast<F *>(src)->~F();
             },
             [](void *p) { static_cast<F *>(p)->~F(); },
-            false,
+            std::is_trivially_copyable_v<F> &&
+                std::is_trivially_destructible_v<F>,
         };
     }
 
@@ -142,7 +156,7 @@ class InlineFunction
                 *static_cast<F **>(dst) = *static_cast<F **>(src);
             },
             [](void *p) { delete *static_cast<F **>(p); },
-            true,
+            false,
         };
     }
 
@@ -173,7 +187,7 @@ class InlineFunction
     void
     destroy()
     {
-        if (ops_)
+        if (ops_ && !ops_->trivial)
             ops_->destroy(target());
     }
 
@@ -181,8 +195,12 @@ class InlineFunction
     moveFrom(InlineFunction &other) noexcept
     {
         ops_ = other.ops_;
-        if (ops_)
-            ops_->relocate(target(), other.target());
+        if (ops_) {
+            if (ops_->trivial)
+                std::memcpy(buf_, other.buf_, Capacity);
+            else
+                ops_->relocate(target(), other.target());
+        }
         other.ops_ = nullptr;
     }
 

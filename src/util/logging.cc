@@ -12,6 +12,13 @@ namespace
 LogLevel globalLevel = LogLevel::Warn;
 DebugSink globalDebugSink;
 
+void
+refreshDebugGate()
+{
+    detail::debugGate = globalLevel >= LogLevel::Debug ||
+                        static_cast<bool>(globalDebugSink);
+}
+
 } // namespace
 
 LogLevel
@@ -24,12 +31,14 @@ void
 setLogLevel(LogLevel level)
 {
     globalLevel = level;
+    refreshDebugGate();
 }
 
 void
 setDebugSink(DebugSink sink)
 {
     globalDebugSink = std::move(sink);
+    refreshDebugGate();
 }
 
 namespace detail
@@ -63,13 +72,6 @@ informImpl(const std::string &msg)
 {
     if (globalLevel >= LogLevel::Inform)
         std::fprintf(stderr, "info: %s\n", msg.c_str());
-}
-
-bool
-debugEnabled()
-{
-    return globalLevel >= LogLevel::Debug ||
-           static_cast<bool>(globalDebugSink);
 }
 
 void

@@ -43,8 +43,17 @@ void setDebugSink(DebugSink sink);
 namespace detail
 {
 
+/** (log level >= Debug || a debug sink is installed), kept current by
+ *  setLogLevel() and setDebugSink() so the DIR2B_DEBUG guard is one
+ *  inline load rather than a call. */
+inline bool debugGate = false;
+
 /** True when DIR2B_DEBUG must materialise its message at all. */
-bool debugEnabled();
+inline bool
+debugEnabled()
+{
+    return debugGate;
+}
 
 [[noreturn]] void panicImpl(const char *file, int line,
                             const std::string &msg);

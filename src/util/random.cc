@@ -17,12 +17,6 @@ splitMix64(std::uint64_t &state)
     return z ^ (z >> 31);
 }
 
-std::uint64_t
-rotl(std::uint64_t x, int k)
-{
-    return (x << k) | (x >> (64 - k));
-}
-
 } // namespace
 
 void
@@ -32,42 +26,6 @@ Rng::reseed(std::uint64_t seed)
     std::uint64_t sm = seed;
     for (auto &word : s_)
         word = splitMix64(sm);
-}
-
-std::uint64_t
-Rng::next()
-{
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-
-    return result;
-}
-
-std::uint64_t
-Rng::range(std::uint64_t bound)
-{
-    DIR2B_ASSERT(bound > 0, "Rng::range with zero bound");
-    // Debiased modulo (Lemire-style rejection on the low word).
-    const std::uint64_t threshold = -bound % bound;
-    for (;;) {
-        std::uint64_t r = next();
-        if (r >= threshold)
-            return r % bound;
-    }
-}
-
-double
-Rng::uniform()
-{
-    // 53 random bits into [0, 1).
-    return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
 std::uint64_t

@@ -12,6 +12,7 @@
 #ifndef DIR2B_UTIL_RANDOM_HH
 #define DIR2B_UTIL_RANDOM_HH
 
+#include <bit>
 #include <cstdint>
 
 #include "util/logging.hh"
@@ -30,14 +31,45 @@ class Rng
     /** Reset the stream to a fresh seed. */
     void reseed(std::uint64_t seed);
 
-    /** Next raw 64-bit draw. */
-    std::uint64_t next();
+    /** Next raw 64-bit draw.  The per-reference draws are inline:
+     *  reference generators make several per reference. */
+    std::uint64_t
+    next()
+    {
+        const std::uint64_t result = std::rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = std::rotl(s_[3], 45);
+
+        return result;
+    }
 
     /** Uniform integer in [0, bound), bound > 0, without modulo bias. */
-    std::uint64_t range(std::uint64_t bound);
+    std::uint64_t
+    range(std::uint64_t bound)
+    {
+        DIR2B_ASSERT(bound > 0, "Rng::range with zero bound");
+        // Debiased modulo (Lemire-style rejection on the low word).
+        const std::uint64_t threshold = -bound % bound;
+        for (;;) {
+            const std::uint64_t r = next();
+            if (r >= threshold)
+                return r % bound;
+        }
+    }
 
     /** Uniform double in [0, 1). */
-    double uniform();
+    double
+    uniform()
+    {
+        // 53 random bits into [0, 1).
+        return static_cast<double>(next() >> 11) * 0x1.0p-53;
+    }
 
     /** Bernoulli trial with success probability p. */
     bool chance(double p) { return uniform() < p; }

@@ -154,10 +154,9 @@ TEST(EventQueue, AcceptsMoveOnlyCallbacks)
 TEST(EventQueue, CascadeRestoresFifoAgainstDirectInserts)
 {
     // Event A is scheduled far ahead (lands in a level>=1 bucket);
-    // event B is scheduled later for the SAME tick from close range
-    // (direct level-0 insert).  When A's bucket cascades it appends
-    // behind B, so the kernel must re-sort the slot by sequence
-    // number: A was scheduled first and must fire first.
+    // event B is scheduled later for the SAME tick from close range.
+    // A's bucket must cascade before B is filed behind it: A was
+    // scheduled first and must fire first.
     EventQueue eq;
     std::vector<char> order;
     eq.scheduleAt(5000, [&] { order.push_back('A'); });
@@ -253,6 +252,72 @@ TEST(EventQueue, BudgetExpiryMidTickPreservesOrder)
     EXPECT_TRUE(eq.run());
     EXPECT_EQ(order,
               (std::vector<int>{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}));
+}
+
+TEST(EventQueue, BudgetExpiryKeepsUndrainedAheadOfZeroDelay)
+{
+    // Event 0 schedules a zero-delay event Z during the drain; the
+    // budget runs out after two events, and the three undrained
+    // same-tick events were scheduled before Z, so they fire first.
+    EventQueue eq;
+    std::vector<int> order;
+    eq.scheduleAt(5, [&] {
+        order.push_back(0);
+        eq.schedule(0, [&] { order.push_back(99); });
+    });
+    for (int i = 1; i < 5; ++i)
+        eq.scheduleAt(5, [&order, i] { order.push_back(i); });
+    EXPECT_FALSE(eq.run(2));
+    EXPECT_EQ(order, (std::vector<int>{0, 1}));
+    EXPECT_TRUE(eq.run());
+    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4, 99}));
+}
+
+TEST(EventQueue, DifferentialUnderCascadesAndBudgetSlices)
+{
+    // Far-ahead events cascade down while near events for the same
+    // ticks are scheduled from close range, and run() is cut every
+    // few events (undrained remainders): the firing order must still
+    // be the stable (when, seq) order.
+    EventQueue eq;
+    Rng rng(0x51ce);
+    std::vector<std::pair<Tick, int>> expect;
+    std::vector<int> got;
+    int next = 0;
+    // Seed events far ahead; each, when it fires, schedules a few
+    // events near its own time from close range.
+    std::function<void()> spawn = [&] {
+        for (int k = 0; k < 3; ++k) {
+            const Tick when = eq.now() + rng.range(80);
+            const int id = next++;
+            expect.emplace_back(when, id);
+            eq.scheduleAt(when, [&got, id] { got.push_back(id); });
+        }
+    };
+    for (int i = 0; i < 400; ++i) {
+        const Tick when = rng.range(Tick{1} << 14);
+        const int id = next++;
+        expect.emplace_back(when, id);
+        eq.scheduleAt(when, [&got, &spawn, id] {
+            got.push_back(id);
+            spawn();
+        });
+    }
+    while (!eq.run(1 + rng.range(7))) {
+    }
+    // ids grow with scheduling order, so a stable sort by when of the
+    // (when, id) pairs sorted by id is the FIFO order.
+    std::sort(expect.begin(), expect.end(),
+              [](const auto &a, const auto &b) {
+                  return a.second < b.second;
+              });
+    std::stable_sort(expect.begin(), expect.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t i = 0; i < got.size(); ++i)
+        EXPECT_EQ(got[i], expect[i].second) << "position " << i;
 }
 
 TEST(EventQueue, ResetDestroysPendingCallbacks)

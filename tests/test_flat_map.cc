@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
@@ -272,6 +273,89 @@ TEST(InlineFunction, HeapFallbackForOversizedCaptures)
     h();
     EXPECT_EQ(out, 2);
     EXPECT_EQ(InlineFunction<32>::heapFallbacks(), mid);
+}
+
+TEST(InlineFunction, TrivialCaptureSurvivesRepeatedMoves)
+{
+    const std::uint64_t before = InlineFunction<64>::heapFallbacks();
+    int hits = 0;
+    std::uint64_t seen = 0;
+    // The shape of a network delivery: [this, src, dst, Message].
+    struct
+    {
+        int *hits;
+        std::uint64_t *seen;
+        unsigned src, dst;
+        std::uint64_t msg[3];
+    } cap = {&hits, &seen, 3, 5, {7, 11, 13}};
+    auto fn = [cap] {
+        ++*cap.hits;
+        *cap.seen = cap.src + cap.dst + cap.msg[0] + cap.msg[1] +
+                    cap.msg[2];
+    };
+    static_assert(std::is_trivially_copyable_v<decltype(fn)> &&
+                  std::is_trivially_destructible_v<decltype(fn)>);
+
+    InlineFunction<64> f(fn);
+    for (int i = 0; i < 16; ++i) {
+        InlineFunction<64> g(std::move(f));
+        EXPECT_FALSE(static_cast<bool>(f));
+        f = std::move(g);
+        EXPECT_FALSE(static_cast<bool>(g));
+    }
+    ASSERT_TRUE(static_cast<bool>(f));
+    f();
+    f.reset();
+    EXPECT_EQ(hits, 1);
+    EXPECT_EQ(seen, 3u + 5u + 7u + 11u + 13u);
+    EXPECT_EQ(InlineFunction<64>::heapFallbacks(), before);
+}
+
+/** Non-trivial callable that counts its moves and live instances. */
+struct LifeCounter
+{
+    int *moves;
+    int *alive;
+    int *fired;
+    LifeCounter(int *m, int *a, int *f) : moves(m), alive(a), fired(f)
+    {
+        ++*alive;
+    }
+    LifeCounter(LifeCounter &&o) noexcept
+        : moves(o.moves), alive(o.alive), fired(o.fired)
+    {
+        ++*moves;
+        ++*alive;
+    }
+    LifeCounter(const LifeCounter &) = delete;
+    ~LifeCounter() { --*alive; }
+    void operator()() { ++*fired; }
+};
+
+TEST(InlineFunction, NonTrivialCaptureRelocatedAndDestroyedOnce)
+{
+    static_assert(!std::is_trivially_copyable_v<LifeCounter>);
+    const std::uint64_t before = InlineFunction<64>::heapFallbacks();
+    int moves = 0;
+    int alive = 0;
+    int fired = 0;
+    {
+        InlineFunction<64> f(LifeCounter(&moves, &alive, &fired));
+        EXPECT_EQ(moves, 1); // into the buffer
+        EXPECT_EQ(alive, 1); // the temporary is gone
+        for (int i = 0; i < 5; ++i) {
+            InlineFunction<64> g(std::move(f));
+            f = std::move(g);
+        }
+        // Every InlineFunction move relocates: one move construction
+        // and one destruction of the source.
+        EXPECT_EQ(moves, 1 + 2 * 5);
+        EXPECT_EQ(alive, 1);
+        f();
+    }
+    EXPECT_EQ(fired, 1);
+    EXPECT_EQ(alive, 0);
+    EXPECT_EQ(InlineFunction<64>::heapFallbacks(), before);
 }
 
 } // namespace

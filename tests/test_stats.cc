@@ -60,6 +60,20 @@ TEST(Histogram, BucketsAndMoments)
     EXPECT_NEAR(h.mean(), (0 + 9 + 10 + 35 + 1000) / 5.0, 1e-9);
 }
 
+TEST(Histogram, PowerOfTwoWidthsBucketLikeDivision)
+{
+    // Power-of-two widths index by shift, others by division; both
+    // must put every value where v / width puts it.
+    for (const std::uint64_t width : {1u, 2u, 3u, 4u, 6u, 64u}) {
+        Histogram h(width, 8);
+        for (std::uint64_t v = 0; v < 12 * width; ++v)
+            h.sample(v);
+        for (std::size_t i = 0; i < 8; ++i)
+            EXPECT_EQ(h.bucket(i), width) << "width " << width;
+        EXPECT_EQ(h.bucket(8), 4 * width) << "width " << width;
+    }
+}
+
 TEST(Histogram, Percentile)
 {
     Histogram h(1, 100);

@@ -8,9 +8,12 @@
 #include <cmath>
 #include <set>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "util/bitops.hh"
 #include "util/bitset.hh"
+#include "util/logging.hh"
 #include "util/random.hh"
 #include "util/table.hh"
 #include "util/types.hh"
@@ -105,6 +108,41 @@ TEST(Rng, SplitStreamsIndependent)
             ++same;
     }
     EXPECT_EQ(same, 0);
+}
+
+TEST(Logging, DebugGateFollowsLogLevel)
+{
+    const LogLevel saved = logLevel();
+    setLogLevel(LogLevel::Warn);
+    EXPECT_FALSE(detail::debugEnabled());
+    setLogLevel(LogLevel::Debug);
+    EXPECT_TRUE(detail::debugEnabled());
+    setLogLevel(LogLevel::Warn);
+    EXPECT_FALSE(detail::debugEnabled());
+    setLogLevel(saved);
+}
+
+TEST(Logging, DebugGateFollowsDebugSink)
+{
+    const LogLevel saved = logLevel();
+    setLogLevel(LogLevel::Warn);
+    std::vector<std::string> seen;
+    setDebugSink([&](const std::string &m) { seen.push_back(m); });
+    EXPECT_TRUE(detail::debugEnabled());
+    DIR2B_DEBUG("x=", 1);
+    setDebugSink(nullptr);
+    EXPECT_FALSE(detail::debugEnabled());
+    DIR2B_DEBUG("y");
+    EXPECT_EQ(seen, std::vector<std::string>{"x=1"});
+
+    // Either source alone holds the gate open.
+    setDebugSink([](const std::string &) {});
+    setLogLevel(LogLevel::Debug);
+    setDebugSink(nullptr);
+    EXPECT_TRUE(detail::debugEnabled());
+    setLogLevel(LogLevel::Warn);
+    EXPECT_FALSE(detail::debugEnabled());
+    setLogLevel(saved);
 }
 
 TEST(BitOps, PowerOf2)

@@ -13,11 +13,9 @@
  *   BM_FuncReplayScalar    runFunctional over MmapTraceStream
  *   BM_FuncReplayBatched   runFunctionalBatched over block spans
  *
- * plus the table-engine dispatch A/B (BM_TableDispatch*) that
- * measures what the dense (state x event-class) row index buys over
- * the linear row scan.  The fixture defaults to 1M references so the
- * perf_smoke ctest entry stays fast; DIR2B_TRACE_REPLAY_REFS scales
- * it up (BENCH_9.json is recorded at 100M — see docs/PERFORMANCE.md).
+ * The fixture defaults to 1M references so the perf_smoke ctest entry
+ * stays fast; DIR2B_TRACE_REPLAY_REFS scales it up (BENCH_9.json is
+ * recorded at 100M — see docs/PERFORMANCE.md).
  */
 
 #include <benchmark/benchmark.h>
@@ -31,7 +29,6 @@
 #include <vector>
 
 #include "proto/protocol_factory.hh"
-#include "proto/table_engine.hh"
 #include "system/func_system.hh"
 #include "trace/synthetic.hh"
 #include "trace/trace_binary.hh"
@@ -212,46 +209,6 @@ BM_FuncReplayBatched(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(refs));
 }
 BENCHMARK(BM_FuncReplayBatched);
-
-/** Table-engine dispatch A/B: the dense (state x event-class) row
- *  index versus the original linear row scan, on the largest table
- *  (MOESI).  Identical behaviour is pinned by ctest -L lockstep. */
-void
-tableDispatch(benchmark::State &state, bool linear)
-{
-    auto proto = makeProtocol("moesi", replayProtoConfig(8));
-    auto *table = dynamic_cast<TableProtocol *>(proto.get());
-    table->useLinearDispatch(linear);
-
-    SyntheticConfig scfg;
-    scfg.numProcs = 8;
-    scfg.q = 0.2;
-    scfg.w = 0.3;
-    SyntheticStream stream(scfg);
-
-    std::uint64_t nonce = 1;
-    for (auto _ : state) {
-        const auto r = *stream.next();
-        benchmark::DoNotOptimize(
-            proto->access(r.proc, r.addr, r.write, ++nonce));
-    }
-    state.SetItemsProcessed(
-        static_cast<std::int64_t>(state.iterations()));
-}
-
-void
-BM_TableDispatchIndexed(benchmark::State &state)
-{
-    tableDispatch(state, false);
-}
-BENCHMARK(BM_TableDispatchIndexed);
-
-void
-BM_TableDispatchLinear(benchmark::State &state)
-{
-    tableDispatch(state, true);
-}
-BENCHMARK(BM_TableDispatchLinear);
 
 } // namespace
 

@@ -84,8 +84,6 @@ toString(ActionOp op)
         return "SendDowngradeOwner";
       case ActionOp::SendFetchInvOwner:
         return "SendFetchInvOwner";
-      case ActionOp::Stall:
-        return "Stall";
     }
     return "op#" + std::to_string(static_cast<unsigned>(op));
 }
@@ -222,11 +220,6 @@ TransitionTable::validate() const
                     lastSetDir = a.arg;
                 }
                 break;
-              case ActionOp::Stall:
-                if (j + 1 != r.actions.size())
-                    rowMsg(i, where + ": Stall must be the last "
-                                      "action of its row");
-                break;
               default:
                 break;
             }
@@ -361,17 +354,6 @@ const TableRow *
 TableProtocol::findRow(std::uint8_t state, EventClass ev, Addr a,
                        ProcId k) const
 {
-    if (linearDispatch_) {
-        // The pre-index reference path, kept as the A/B baseline for
-        // bench_trace_replay's dispatch microbench and the
-        // equivalence test in test_table_engine.cc.
-        for (const TableRow &r : table_.rows) {
-            if (r.state == state && r.event == ev &&
-                guardHolds(r.guard, a, k))
-                return &r;
-        }
-        return nullptr;
-    }
     const DispatchSlot slot = dispatchSlots_[slotIndex(state, ev)];
     for (std::uint32_t i = 0; i < slot.len; ++i) {
         const TableRow &r = table_.rows[dispatchRows_[slot.off + i]];
@@ -382,10 +364,9 @@ TableProtocol::findRow(std::uint8_t state, EventClass ev, Addr a,
 }
 
 EventClass
-TableProtocol::classify(ProcId k, Addr a, bool write, bool touch,
-                        CacheLine *&line)
+TableProtocol::classify(ProcId k, Addr a, bool write, CacheLine *&line)
 {
-    line = caches_[k].lookup(a, touch);
+    line = caches_[k].lookup(a, true);
     if (line) {
         if (!write)
             return EventClass::ReadHit;
@@ -410,7 +391,6 @@ struct ExecCtx
     CacheLine *line = nullptr;
     /** Block data in flight (ReadMem / owner supplies). */
     Value data = 0;
-    bool stalled = false;
 };
 
 } // namespace
@@ -421,14 +401,14 @@ TableProtocol::evictLine(ProcId k, CacheLine &victim)
     const Addr olda = victim.addr;
     const EventClass ev = victim.dirty() ? EventClass::EvictDirty
                                          : EventClass::EvictClean;
-    dispatch(k, olda, false, 0, ev, &victim, 0);
+    dispatch(k, olda, false, 0, ev, &victim);
 }
 
 Value
 TableProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
     CacheLine *line = nullptr;
-    const EventClass ev = classify(k, a, write, true, line);
+    const EventClass ev = classify(k, a, write, line);
 
     // Reference classification is the interpreter's, not the table's:
     // every scheme counts hits and misses the same way.
@@ -453,12 +433,12 @@ TableProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
         break;
     }
 
-    return dispatch(k, a, write, wval, ev, line, 0);
+    return dispatch(k, a, write, wval, ev, line);
 }
 
 Value
 TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
-                        EventClass ev, CacheLine *line, unsigned depth)
+                        EventClass ev, CacheLine *line)
 {
     // Replacement precedes the miss transaction (§3.2.1): the victim
     // runs through the same eviction rows flushCache uses.
@@ -694,24 +674,7 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             ++counts_.invalidations;
             break;
           }
-
-          case ActionOp::Stall:
-            ctx.stalled = true;
-            break;
         }
-        if (ctx.stalled)
-            break;
-    }
-
-    if (ctx.stalled) {
-        DIR2B_ASSERT(depth < 8, "table '", table_.name,
-                     "' stalled 8 times on block ", a,
-                     " from cache ", k, ": transition livelock");
-        CacheLine *retryLine = nullptr;
-        const EventClass retry =
-            classify(k, a, write, false, retryLine);
-        return dispatch(k, a, write, wval, retry, retryLine,
-                        depth + 1);
     }
 
     if (write)

@@ -136,13 +136,9 @@ enum class ActionOp : std::uint8_t
     /** Directed fetch-and-invalidate of the remote owner:
      *  cache-to-cache supply (no write-back), owner drops its copy. */
     SendFetchInvOwner,
-    /** Re-classify the access and dispatch again (transient-state
-     *  retry).  Must be the last action of its row; the interpreter
-     *  bounds retries and fatals on livelock. */
-    Stall,
 };
 
-constexpr unsigned numActionOps = 17;
+constexpr unsigned numActionOps = 16;
 
 /** One action: opcode plus its immediate argument. */
 struct TableAction
@@ -254,14 +250,6 @@ class TableProtocol : public Protocol
      *  these to report unreachable rows). */
     const std::vector<std::uint64_t> &rowHits() const { return rowHits_; }
 
-    /**
-     * A/B knob for the dispatch microbench and equivalence tests:
-     * true falls back to the pre-index linear row scan.  Both paths
-     * fire the same row for every (state, event, guard) query — the
-     * dense index only skips rows that could never match.
-     */
-    void useLinearDispatch(bool on) { linearDispatch_ = on; }
-
   protected:
     Value doAccess(ProcId k, Addr a, bool write, Value wval) override;
 
@@ -284,15 +272,12 @@ class TableProtocol : public Protocol
                             ProcId k) const;
 
     /** Classify a LOAD/STORE by `k` against its cache (touches
-     *  replacement state exactly like the hand-written schemes:
-     *  only the initial classification touches). */
-    EventClass classify(ProcId k, Addr a, bool write, bool touch,
-                        CacheLine *&line);
+     *  replacement state exactly like the hand-written schemes). */
+    EventClass classify(ProcId k, Addr a, bool write, CacheLine *&line);
 
-    /** Dispatch one event; returns the transaction's result value.
-     *  `depth` bounds Stall retries. */
+    /** Dispatch one event; returns the transaction's result value. */
     Value dispatch(ProcId k, Addr a, bool write, Value wval,
-                   EventClass ev, CacheLine *line, unsigned depth);
+                   EventClass ev, CacheLine *line);
 
     /** Run the eviction rows for a valid victim line. */
     void evictLine(ProcId k, CacheLine &victim);
@@ -319,7 +304,6 @@ class TableProtocol : public Protocol
      *  registration from the validated table. */
     std::vector<DispatchSlot> dispatchSlots_;
     std::vector<std::uint16_t> dispatchRows_;
-    bool linearDispatch_ = false;
 };
 
 } // namespace dir2b

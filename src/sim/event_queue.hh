@@ -7,31 +7,30 @@
  * in FIFO order of scheduling, which makes runs bit-for-bit
  * deterministic regardless of scheduler internals.
  *
- * Internals (rewritten from a std::function + std::priority_queue
- * kernel; the golden digests in tests/test_golden_digest.cc pin that
- * the rewrite changed nothing observable):
+ * Internals (the golden digests in tests/test_golden_digest.cc pin
+ * that no rewrite of them changed anything observable):
  *
  *  - Events live in arena nodes recycled through a freelist, so the
  *    steady state performs no allocation per event.  Callbacks are
- *    stored inline in the node (InlineFunction); a capture larger
- *    than the inline buffer falls back to the heap and is counted.
+ *    stored inline in the node (InlineFunction); a capture too large
+ *    for the node does not compile.
  *
- *  - Scheduling uses a hierarchical timing wheel: four levels of 64
- *    slots, level L spanning deltas below 64^(L+1) ticks, each with a
- *    64-bit occupancy bitmap so the next event is found with a rotate
- *    and a count-trailing-zeros instead of heap rebalancing.  Deltas
- *    of 64^4 ticks or more wait in a small (when, seq) min-heap and
- *    migrate into the wheel as time approaches.
+ *  - Events due in [now, now + 64) sit in a one-level wheel of 64
+ *    slots, each a FIFO list, with a 64-bit occupancy bitmap so the
+ *    next tick is a rotate and a count-trailing-zeros away.  Every
+ *    delay the timed tier schedules on its hot path (cache 1,
+ *    directory 2, network and memory a few ticks) lands there.  Later
+ *    events wait in a (when, seq) min-heap.
  *
- *  - FIFO order within a tick is preserved exactly: slot lists append
- *    in schedule order, and a bucket is cascaded as soon as now()
- *    enters its range, before anything executes there, so a cascade
- *    never files an older event behind a newer direct insert.  Every
- *    level-0 append asserts that order, and a slot fires straight
- *    down its list.
+ *  - FIFO order within a tick is preserved exactly: whenever now()
+ *    moves, every heap event that entered the window moves into the
+ *    wheel, in (when, seq) order, before anything executes — so a
+ *    migrated event is never filed behind a newer direct insert for
+ *    its tick.  Every append asserts same tick and rising sequence,
+ *    and a slot fires straight down its list.
  *
- *  - runUntil() executes strictly below a horizon and
- *    nextTickLowerBound() bounds the next event from below; the
+ *  - runUntil() executes strictly below a horizon and nextTick()
+ *    reports the exact tick of the earliest pending event; the
  *    telemetry sampler uses the pair to stop the kernel exactly at
  *    sampling boundaries.  A plain run() uses neither.
  */
@@ -59,9 +58,7 @@ class EventQueue
 {
   public:
     /** Inline capture capacity: the largest timed-tier callback
-     *  (supplyData's [this, dst, Message, a]) is 64 bytes; oversized
-     *  captures heap-allocate and show up in
-     *  InlineFunction::heapFallbacks(). */
+     *  (supplyData's [this, dst, Message, a]) is 64 bytes. */
     static constexpr std::size_t inlineBytes = 104;
 
     using Callback = InlineFunction<inlineBytes>;
@@ -89,7 +86,10 @@ class EventQueue
         n.when = when;
         n.seq = seq_++;
         n.cb = std::forward<F>(cb);
-        placeNode(idx);
+        if (when - now_ < slotCount)
+            fileInWheel(idx);
+        else
+            pushOverflow(idx);
         ++pending_;
     }
 
@@ -111,7 +111,7 @@ class EventQueue
     {
         std::uint64_t budget = maxEvents;
         while (pending_ != 0) {
-            advance<false>(0);
+            advanceTo(nextTick());
             if (!drainCurrentSlot(budget))
                 return false;
         }
@@ -128,27 +128,31 @@ class EventQueue
     runUntil(Tick horizon, std::uint64_t &budget)
     {
         while (pending_ != 0) {
-            if (!advance<true>(horizon))
+            const Tick next = nextTick();
+            if (next >= horizon)
                 return true; // nothing left below the horizon
+            advanceTo(next);
             if (!drainCurrentSlot(budget))
                 return false;
         }
         return true;
     }
 
-    /**
-     * A lower bound on the when of the earliest pending event (exact
-     * when that event sits in level 0 or the overflow heap; a bucket
-     * start otherwise); maxTick when the queue is empty.  No pending
-     * event lies below it, and runUntil() refines the bucket bounds it
-     * stops at, so a caller alternating the two always makes progress.
-     */
+    /** The when of the earliest pending event; maxTick when the queue
+     *  is empty. */
     Tick
-    nextTickLowerBound() const
+    nextTick() const
     {
-        if (pending_ == 0)
-            return maxTick;
-        return minCandidate().when;
+        // Heap events are all at least a window past now_ (they
+        // migrate whenever now_ moves), so an occupied wheel wins.
+        if (occ_ != 0) {
+            return now_ + static_cast<Tick>(std::countr_zero(
+                              std::rotr(occ_, slotOf(now_))));
+        }
+        if (!over_.empty())
+            return arena_[over_.front()].when;
+        DIR2B_ASSERT(pending_ == 0, "pending events but no slot");
+        return maxTick;
     }
 
     /** Drop all pending events (end of a run). */
@@ -158,11 +162,9 @@ class EventQueue
         arena_.clear(); // destroys pending callbacks
         freeHead_ = nil;
         over_.clear();
-        for (Level &lv : levels_) {
-            lv.occ = 0;
-            lv.head.fill(nil);
-            lv.tail.fill(nil);
-        }
+        occ_ = 0;
+        head_.fill(nil);
+        tail_.fill(nil);
         now_ = 0;
         seq_ = 0;
         executed_ = 0;
@@ -170,12 +172,7 @@ class EventQueue
     }
 
   private:
-    static constexpr unsigned slotBits = 6;
-    static constexpr std::size_t slotCount = 1u << slotBits;
-    static constexpr unsigned levelCount = 4;
-    /** Deltas at or beyond 64^4 ticks wait in the overflow heap. */
-    static constexpr Tick horizon = Tick{1}
-                                    << (slotBits * levelCount);
+    static constexpr std::size_t slotCount = 64;
     static constexpr std::uint32_t nil = ~std::uint32_t{0};
 
     struct Node
@@ -194,12 +191,11 @@ class EventQueue
         return a;
     }
 
-    struct Level
+    static unsigned
+    slotOf(Tick t)
     {
-        std::array<std::uint32_t, slotCount> head = filled(nil);
-        std::array<std::uint32_t, slotCount> tail = filled(nil);
-        std::uint64_t occ = 0;
-    };
+        return static_cast<unsigned>(t & (slotCount - 1));
+    }
 
     std::uint32_t
     allocNode()
@@ -220,49 +216,24 @@ class EventQueue
         freeHead_ = idx;
     }
 
-    /**
-     * File a node into its wheel slot (or the overflow heap).
-     *
-     * An event goes to the smallest level whose digits above it agree
-     * between when and now_ (the "same cycle" rule).  Picking the
-     * level from the raw delta instead would wrap: a delta just under
-     * 64^4 that crosses enough digit boundaries lands a full cycle
-     * ahead in the CURRENT level-3 bucket.  With the prefix rule an
-     * occupied slot is always strictly ahead of now_ within its
-     * cycle, so circular bitmap distances are exact.
-     */
+    /** Append a node due within the window to its slot's list. */
     void
-    placeNode(std::uint32_t idx)
+    fileInWheel(std::uint32_t idx)
     {
         Node &n = arena_[idx];
         n.next = nil;
-        unsigned level = 0;
-        while (level < levelCount &&
-               (n.when >> (slotBits * (level + 1))) !=
-                   (now_ >> (slotBits * (level + 1))))
-            ++level;
-        if (level == levelCount) {
-            over_.push_back(idx);
-            std::push_heap(over_.begin(), over_.end(),
-                           [this](std::uint32_t a, std::uint32_t b) {
-                               return laterThan(a, b);
-                           });
-            return;
-        }
-        const auto slot = static_cast<std::size_t>(
-            (n.when >> (slotBits * level)) & (slotCount - 1));
-        Level &lv = levels_[level];
-        if (lv.tail[slot] == nil) {
-            lv.head[slot] = idx;
+        const unsigned slot = slotOf(n.when);
+        if (tail_[slot] == nil) {
+            head_[slot] = idx;
         } else {
-            Node &tail = arena_[lv.tail[slot]];
-            DIR2B_ASSERT(level != 0 || tail.seq < n.seq,
+            Node &tail = arena_[tail_[slot]];
+            DIR2B_ASSERT(tail.when == n.when && tail.seq < n.seq,
                          "event filed out of FIFO order at tick ",
                          n.when);
             tail.next = idx;
         }
-        lv.tail[slot] = idx;
-        lv.occ |= std::uint64_t{1} << slot;
+        tail_[slot] = idx;
+        occ_ |= std::uint64_t{1} << slot;
     }
 
     /** Overflow-heap ordering: true if a fires after b. */
@@ -276,152 +247,55 @@ class EventQueue
         return na.seq > nb.seq;
     }
 
-    /** Detach and clear slot `slot` of level `level`. */
-    std::uint32_t
-    detachSlot(unsigned level, std::size_t slot)
+    void
+    pushOverflow(std::uint32_t idx)
     {
-        Level &lv = levels_[level];
-        const std::uint32_t head = lv.head[slot];
-        lv.head[slot] = nil;
-        lv.tail[slot] = nil;
-        lv.occ &= ~(std::uint64_t{1} << slot);
-        return head;
+        over_.push_back(idx);
+        std::push_heap(over_.begin(), over_.end(),
+                       [this](std::uint32_t a, std::uint32_t b) {
+                           return laterThan(a, b);
+                       });
     }
 
-    struct Candidate
+    /** Move now_ to `next` (the earliest pending tick) and file every
+     *  heap event now inside the window into the wheel, earliest
+     *  (when, seq) first, before anything executes at `next`. */
+    void
+    advanceTo(Tick next)
     {
-        Tick when;
-        int level;
-    };
-
-    /**
-     * The earliest jump candidate: a level-0 slot gives an exact time
-     * (level-0 deltas are < 64, so circular distance is absolute),
-     * while a level>=1 bucket gives only its start — a lower bound on
-     * everything in it — and the overflow top is exact.  Requires
-     * pending_ > 0.
-     */
-    Candidate
-    minCandidate() const
-    {
-        Tick best = ~Tick{0};
-        int bestLevel = -1;
-        if (!over_.empty()) {
-            best = arena_[over_.front()].when;
-            bestLevel = levelCount; // sentinel: jump-and-migrate
-        }
-        for (unsigned lv = levelCount - 1; lv >= 1; --lv) {
-            if (!levels_[lv].occ)
-                continue;
-            const Tick cur = now_ >> (slotBits * lv);
-            const auto curSlot = static_cast<unsigned>(
-                cur & (slotCount - 1));
-            const unsigned d = static_cast<unsigned>(
-                std::countr_zero(
-                    std::rotr(levels_[lv].occ, curSlot)));
-            // d == 0 (the current-digit bucket is occupied) can
-            // happen right after a jump that landed exactly on a
-            // bucket boundary via a different candidate; such a
-            // bucket must cascade before anything executes, so it
-            // bids now_ itself, the unbeatable minimum.
-            const Tick start =
-                d == 0 ? now_ : (cur + d) << (slotBits * lv);
-            if (start < best) {
-                best = start;
-                bestLevel = static_cast<int>(lv);
-            }
-        }
-        if (levels_[0].occ) {
-            const auto curSlot =
-                static_cast<unsigned>(now_ & (slotCount - 1));
-            const unsigned d = static_cast<unsigned>(
-                std::countr_zero(
-                    std::rotr(levels_[0].occ, curSlot)));
-            const Tick cand = now_ + d;
-            if (cand < best) {
-                best = cand;
-                bestLevel = 0;
-            }
-        }
-        DIR2B_ASSERT(bestLevel >= 0, "pending events but no slot");
-        DIR2B_ASSERT(best >= now_, "event queue time warp");
-        return {best, bestLevel};
-    }
-
-    /**
-     * Move now_ to the next event time, cascading higher-level
-     * buckets and migrating overflow nodes until the level-0 slot at
-     * now_ holds the earliest pending events.  Requires pending_ > 0.
-     *
-     * Correctness hinges on candidate selection (minCandidate): the
-     * jump target is the global minimum over exact times and bucket
-     * lower bounds, and a bucket chosen at its lower bound is cascaded
-     * and re-evaluated rather than executed, so a level-0 jump can
-     * never skip over an earlier event hiding in a bucket.
-     *
-     * Bounded (runUntil): returns false — with now_ strictly below
-     * the horizon — as soon as the candidate minimum reaches the
-     * horizon.  Cascades performed before that point only refine
-     * bucket bounds, so nextTickLowerBound() grows across calls and
-     * a runUntil loop always makes progress.  Returns true when
-     * positioned on a drainable level-0 slot.
-     */
-    template <bool Bounded>
-    bool
-    advance(Tick horizon)
-    {
-        for (;;) {
-            while (!over_.empty() &&
-                   (arena_[over_.front()].when >>
-                    (slotBits * levelCount)) ==
-                       (now_ >> (slotBits * levelCount))) {
-                std::pop_heap(over_.begin(), over_.end(),
-                              [this](std::uint32_t a, std::uint32_t b) {
-                                  return laterThan(a, b);
-                              });
-                const std::uint32_t idx = over_.back();
-                over_.pop_back();
-                placeNode(idx);
-            }
-
-            const Candidate c = minCandidate();
-            if (Bounded && c.when >= horizon)
-                return false;
-
-            now_ = c.when;
-            if (c.level == 0)
-                return true;
-            if (c.level == static_cast<int>(levelCount))
-                continue; // overflow top: migrate at new now_
-            // Cascade the chosen bucket into lower levels, in list
-            // order so equal-tick FIFO is preserved.
-            const auto slot = static_cast<std::size_t>(
-                (now_ >> (slotBits * c.level)) & (slotCount - 1));
-            std::uint32_t n =
-                detachSlot(static_cast<unsigned>(c.level), slot);
-            while (n != nil) {
-                const std::uint32_t next = arena_[n].next;
-                placeNode(n);
-                n = next;
-            }
+        DIR2B_ASSERT(next >= now_, "event queue time warp");
+        now_ = next;
+        while (!over_.empty() &&
+               arena_[over_.front()].when - now_ < slotCount) {
+            std::pop_heap(over_.begin(), over_.end(),
+                          [this](std::uint32_t a, std::uint32_t b) {
+                              return laterThan(a, b);
+                          });
+            fileInWheel(over_.back());
+            over_.pop_back();
         }
     }
 
     /**
-     * Fire the events in the level-0 slot at now_, re-checking the
-     * slot afterwards because zero-delay callbacks append to it.
+     * Fire the events in the slot at now_, re-checking the slot
+     * afterwards because zero-delay callbacks append to it.
      * @return false when the budget ran out (undrained nodes are
      *         reinserted ahead of any newly scheduled same-tick ones).
      */
     bool
     drainCurrentSlot(std::uint64_t &budget)
     {
-        const auto slot = static_cast<std::size_t>(now_ & (slotCount - 1));
-        while (levels_[0].occ >> slot & 1) {
-            // Fired nodes go back to the freelist as we walk, but the
-            // rest of the detached list is untouched by the callbacks
-            // (they can only file new nodes), so `next` stays valid.
-            for (std::uint32_t n = detachSlot(0, slot); n != nil;) {
+        const unsigned slot = slotOf(now_);
+        while (occ_ >> slot & 1) {
+            // Detach the slot.  Fired nodes go back to the freelist
+            // as we walk, but the rest of the detached list is
+            // untouched by the callbacks (they can only file new
+            // nodes), so `next` stays valid.
+            std::uint32_t n = head_[slot];
+            head_[slot] = nil;
+            tail_[slot] = nil;
+            occ_ &= ~(std::uint64_t{1} << slot);
+            while (n != nil) {
                 if (budget == 0) {
                     reinsertUndrained(slot, n);
                     return false;
@@ -429,7 +303,7 @@ class EventQueue
                 --budget;
                 Node &node = arena_[n];
                 DIR2B_ASSERT(node.when == now_,
-                             "level-0 slot holds foreign tick");
+                             "wheel slot holds foreign tick");
                 const std::uint32_t next = node.next;
                 Callback cb = std::move(node.cb);
                 freeNode(n);
@@ -446,23 +320,28 @@ class EventQueue
      *  the given slot, ahead of any same-tick events scheduled during
      *  the drain (which are all newer, so the slot stays sorted). */
     void
-    reinsertUndrained(std::size_t slot, std::uint32_t from)
+    reinsertUndrained(unsigned slot, std::uint32_t from)
     {
         std::uint32_t last = from;
         while (arena_[last].next != nil)
             last = arena_[last].next;
-        Level &lv = levels_[0];
-        arena_[last].next = lv.head[slot];
-        if (lv.tail[slot] == nil)
-            lv.tail[slot] = last;
-        lv.head[slot] = from;
-        lv.occ |= std::uint64_t{1} << slot;
+        DIR2B_ASSERT(head_[slot] == nil ||
+                         arena_[last].seq < arena_[head_[slot]].seq,
+                     "undrained events newer than the slot they rejoin");
+        arena_[last].next = head_[slot];
+        if (tail_[slot] == nil)
+            tail_[slot] = last;
+        head_[slot] = from;
+        occ_ |= std::uint64_t{1} << slot;
     }
 
     std::vector<Node> arena_;
     std::uint32_t freeHead_ = nil;
-    Level levels_[levelCount];
-    /** Min-heap (by when, then seq) of beyond-horizon node indices. */
+    /** Wheel slot lists (arena indices) and their occupancy bitmap. */
+    std::array<std::uint32_t, slotCount> head_ = filled(nil);
+    std::array<std::uint32_t, slotCount> tail_ = filled(nil);
+    std::uint64_t occ_ = 0;
+    /** Min-heap (by when, then seq) of events due past the window. */
     std::vector<std::uint32_t> over_;
     Tick now_ = 0;
     std::uint64_t seq_ = 0;

@@ -133,15 +133,14 @@ TimedSystem::run(const ProcSource &source, std::uint64_t refsPerProc)
                         completed_, " refs completed)");
         }
     } else {
-        // Boundary-clamped chunks: no pending event lies below the
-        // lower bound `next`, and runUntil never executes at or past
-        // the next boundary, so every sampling boundary <= next is
-        // exact (all events below it executed, none at or above):
-        // flush them, then run the kernel up to the next boundary at
-        // most.
+        // Boundary-clamped chunks: `next` is the tick of the earliest
+        // pending event, and runUntil never executes at or past the
+        // next boundary, so every sampling boundary <= next is exact
+        // (all events below it executed, none at or above): flush
+        // them, then run the kernel up to the next boundary at most.
         std::uint64_t budget = cfg_.maxEvents;
         for (;;) {
-            const Tick next = eq_.nextTickLowerBound();
+            const Tick next = eq_.nextTick();
             if (next == maxTick)
                 break;
             sampler->flushUpTo(next);

@@ -10,8 +10,10 @@
  * stores callables inline in the event node itself.
  *
  * InlineFunction is deliberately minimal: void() signature, move-only,
- * a fixed inline capacity, and a heap fallback for oversized captures
- * (counted globally so tests can assert the hot paths never take it).
+ * and a fixed inline capacity with no heap path — a capture larger
+ * than the buffer, or more strictly aligned, fails a static_assert, so
+ * storing a callable never allocates and the event kernel's
+ * no-allocation property holds at compile time.
  *
  * A target that is trivially copyable and trivially destructible (a
  * capture of pointers, integers and POD messages: every timed-tier
@@ -27,9 +29,7 @@
 #ifndef DIR2B_UTIL_INLINE_FUNCTION_HH
 #define DIR2B_UTIL_INLINE_FUNCTION_HH
 
-#include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
@@ -37,15 +37,6 @@
 
 namespace dir2b
 {
-
-namespace detail
-{
-
-/** Process-wide count of captures that exceeded the inline buffer.
- *  Atomic because parallel sweeps run one EventQueue per thread. */
-inline std::atomic<std::uint64_t> inlineFnHeapFallbacks{0};
-
-} // namespace detail
 
 /** Move-only void() callable with Capacity bytes of inline storage. */
 template <std::size_t Capacity>
@@ -109,14 +100,6 @@ class InlineFunction
 
     static constexpr std::size_t capacity() { return Capacity; }
 
-    /** Captures that were too large for the inline buffer so far. */
-    static std::uint64_t
-    heapFallbacks()
-    {
-        return detail::inlineFnHeapFallbacks.load(
-            std::memory_order_relaxed);
-    }
-
   private:
     /** Manual vtable: one static instance per stored callable type. */
     struct Ops
@@ -132,7 +115,7 @@ class InlineFunction
 
     template <typename F>
     static constexpr Ops
-    makeInlineOps()
+    makeOps()
     {
         return Ops{
             [](void *p) { (*static_cast<F *>(p))(); },
@@ -147,39 +130,19 @@ class InlineFunction
     }
 
     template <typename F>
-    static constexpr Ops
-    makeHeapOps()
-    {
-        return Ops{
-            [](void *p) { (**static_cast<F **>(p))(); },
-            [](void *dst, void *src) {
-                *static_cast<F **>(dst) = *static_cast<F **>(src);
-            },
-            [](void *p) { delete *static_cast<F **>(p); },
-            false,
-        };
-    }
-
-    template <typename F>
     void
     assign(F &&f)
     {
         using Fn = std::decay_t<F>;
         static_assert(std::is_invocable_v<Fn &>,
                       "InlineFunction target must be callable");
-        if constexpr (sizeof(Fn) <= Capacity &&
-                      alignof(Fn) <= alignof(std::max_align_t)) {
-            static constexpr Ops ops = makeInlineOps<Fn>();
-            ::new (target()) Fn(std::forward<F>(f));
-            ops_ = &ops;
-        } else {
-            static constexpr Ops ops = makeHeapOps<Fn>();
-            *reinterpret_cast<Fn **>(buf_) =
-                new Fn(std::forward<F>(f));
-            ops_ = &ops;
-            detail::inlineFnHeapFallbacks.fetch_add(
-                1, std::memory_order_relaxed);
-        }
+        static_assert(sizeof(Fn) <= Capacity,
+                      "capture exceeds the InlineFunction buffer");
+        static_assert(alignof(Fn) <= alignof(std::max_align_t),
+                      "capture is over-aligned for InlineFunction");
+        static constexpr Ops ops = makeOps<Fn>();
+        ::new (target()) Fn(std::forward<F>(f));
+        ops_ = &ops;
     }
 
     void *target() { return buf_; }

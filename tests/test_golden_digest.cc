@@ -45,7 +45,7 @@ std::uint64_t digestStats(const TimedRunResult &r,
  *  statistics. */
 std::uint64_t
 digestRun(TimedProto proto, bool perBlock, NetKind net,
-          std::uint64_t dirRamBudget = 0)
+          std::uint64_t dirRamBudget = 0, Tick thinkTime = 1)
 {
     TimedConfig cfg;
     cfg.protocol = proto;
@@ -56,6 +56,7 @@ digestRun(TimedProto proto, bool perBlock, NetKind net,
     cfg.perBlockConcurrency = perBlock;
     cfg.network = net;
     cfg.dirRamBudget = dirRamBudget;
+    cfg.thinkTime = thinkTime;
 
     SyntheticConfig scfg;
     scfg.numProcs = 4;
@@ -157,6 +158,31 @@ TEST(GoldenDigest, TimedTierMatchesCheckedInDigests)
 {
     for (const auto &c : goldenCases) {
         const std::uint64_t got = digestRun(c.proto, c.perBlock, c.net);
+        EXPECT_EQ(got, c.digest)
+            << c.name << ": digest 0x" << std::hex << got
+            << " != golden 0x" << c.digest;
+    }
+}
+
+// Long think times put every processor's next issue 1000 ticks out,
+// beyond the event wheel's near window, so these runs pin far-event
+// scheduling end to end.  Captured from the four-level hierarchical
+// wheel kernel, before it was replaced by the one-level wheel.
+const GoldenCase farThinkCases[] = {
+    {"two_bit_perblock_crossbar_think1000", TimedProto::TwoBit, true,
+     NetKind::Crossbar, 0xb623005487412511ULL},
+    {"full_map_perblock_crossbar_think1000", TimedProto::FullMap, true,
+     NetKind::Crossbar, 0x0457552ececec5adULL},
+    {"yen_fu_perblock_crossbar_think1000", TimedProto::YenFu, true,
+     NetKind::Crossbar, 0xf29b20acece28a7eULL},
+};
+
+TEST(GoldenDigest, FarThinkTimeMatchesCheckedInDigests)
+{
+    for (const auto &c : farThinkCases) {
+        const std::uint64_t got = digestRun(c.proto, c.perBlock, c.net,
+                                            /*dirRamBudget=*/0,
+                                            /*thinkTime=*/1000);
         EXPECT_EQ(got, c.digest)
             << c.name << ": digest 0x" << std::hex << got
             << " != golden 0x" << c.digest;

@@ -2,7 +2,8 @@
  * @file
  * Unit suite for the table-driven protocol engine (proto/table_engine):
  * table validation (row-numbered rejection messages), first-match guard
- * evaluation order, stall/retry replay, and the metadata the rest of
+ * evaluation order, dispatch independence from row order across
+ * (state, event) groups, and the metadata the rest of
  * the system derives from tables (flush support, directory cost,
  * directory store counters).
  */
@@ -157,14 +158,6 @@ TEST(TableValidate, ActionVocabularyViolationsRejected)
     EXPECT_TRUE(rejectsWith(w, "undefined target state 3"));
 }
 
-TEST(TableValidate, StallMustBeLastAction)
-{
-    TransitionTable t = tinyTable();
-    t.rows[0].actions = {act(ActionOp::Stall),
-                         bump(TableCounter::Requests)};
-    EXPECT_TRUE(rejectsWith(t, "Stall must be the last"));
-}
-
 TEST(TableValidate, NextStateMustMatchDirectoryEffect)
 {
     // Two states so a state change is expressible.
@@ -245,61 +238,6 @@ TEST(TableGuards, GuardsSelectOnRemoteOwnerDirtiness)
     EXPECT_EQ(clean.dirStateOf(0), 1u);
 }
 
-TEST(TableStall, StallReplaysAfterStateChange)
-{
-    // (Cold, ReadMiss) primes the directory and stalls; the retry
-    // re-classifies and completes through the (Warm, ReadMiss) row.
-    TransitionTable t;
-    t.name = "staller";
-    t.stateNames = {"Cold", "Warm"};
-    t.constraints = {{0, 0, 0, 0}, {0, SIZE_MAX, 0, 0}};
-    t.rows = {
-        {0, EventClass::ReadMiss, TableGuard::Always,
-         {bump(TableCounter::Requests), act(ActionOp::SetDirState, 1),
-          act(ActionOp::Stall)}, 1},
-        {1, EventClass::ReadMiss, TableGuard::Always,
-         {act(ActionOp::ReadMem),
-          act(ActionOp::FillLine,
-              static_cast<std::uint8_t>(LineState::Shared))}, 1},
-        {1, EventClass::ReadHit, TableGuard::Always, {}, 1},
-        {1, EventClass::EvictClean, TableGuard::Always,
-         {act(ActionOp::DropLine)}, 1},
-    };
-    ASSERT_TRUE(t.validate().empty());
-
-    TableProtocol proto(t, smallConfig());
-    proto.access(0, 0, false);
-
-    // One reference, classified once, replayed through two rows.
-    EXPECT_EQ(proto.counts().readMisses, 1u);
-    EXPECT_EQ(proto.counts().requests, 1u);
-    EXPECT_EQ(proto.counts().memReads, 1u);
-    EXPECT_EQ(proto.rowHits()[0], 1u);
-    EXPECT_EQ(proto.rowHits()[1], 1u);
-
-    // Second read is a plain hit: no replay, no stall.
-    proto.access(0, 0, false);
-    EXPECT_EQ(proto.counts().readHits, 1u);
-    EXPECT_EQ(proto.rowHits()[2], 1u);
-}
-
-#if GTEST_HAS_DEATH_TEST
-TEST(TableStall, UnproductiveStallLoopIsALivelockFatal)
-{
-    TransitionTable t;
-    t.name = "livelock";
-    t.stateNames = {"Spin"};
-    t.constraints = {{0, SIZE_MAX, 0, 1}};
-    t.rows = {
-        {0, EventClass::ReadMiss, TableGuard::Always,
-         {act(ActionOp::Stall)}, 0},
-    };
-    ASSERT_TRUE(t.validate().empty());
-    TableProtocol proto(t, smallConfig());
-    EXPECT_DEATH(proto.access(0, 0, false), "livelock");
-}
-#endif
-
 TEST(TableMetadata, FlushSupportComesFromEvictRows)
 {
     EXPECT_TRUE(TableProtocol(twoBitTable(), smallConfig())
@@ -338,20 +276,59 @@ TEST(TableMetadata, DirStoreCountersComposeWithRamBudget)
     proto.checkInvariants();
 }
 
-TEST(TableDispatch, IndexedAndLinearDispatchAreEquivalent)
+/**
+ * Row permutation of `t` that moves rows of different (state, event)
+ * groups past each other while keeping each group's declaration order:
+ * groups are taken in reverse order of first appearance and their rows
+ * interleaved round-robin.  perm[j] is the original index of new row j.
+ */
+std::vector<std::size_t>
+crossGroupPermutation(const TransitionTable &t)
 {
-    // The dense (state x event-class) index may only skip rows that
-    // could never match; every query must land on the same
-    // declaration-ordered first match as the linear scan.  Drive each
-    // shipped table through an identical mixed workload with the
-    // index on and off and require bit-identical observable state:
-    // returned values, counters, row coverage, directory states.
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < t.rows.size(); ++i) {
+        auto same = [&](const std::vector<std::size_t> &g) {
+            return t.rows[g[0]].state == t.rows[i].state &&
+                   t.rows[g[0]].event == t.rows[i].event;
+        };
+        auto it = std::find_if(groups.begin(), groups.end(), same);
+        if (it == groups.end())
+            groups.push_back({i});
+        else
+            it->push_back(i);
+    }
+    std::reverse(groups.begin(), groups.end());
+    std::vector<std::size_t> perm;
+    for (std::size_t rank = 0; perm.size() < t.rows.size(); ++rank) {
+        for (const auto &g : groups) {
+            if (rank < g.size())
+                perm.push_back(g[rank]);
+        }
+    }
+    return perm;
+}
+
+TEST(TableDispatch, CrossGroupRowOrderDoesNotChangeBehaviour)
+{
+    // A (state, event) query may only ever match rows of its own
+    // group, first match in declaration order; where the other groups'
+    // rows sit in the table must not matter.  Drive each shipped table
+    // and a copy whose groups are interleaved in a different order
+    // through an identical mixed workload and require bit-identical
+    // observable state: returned values, counters, row coverage
+    // (mapped back through the permutation), directory states.
     for (const TransitionTable &t :
          {twoBitTable(), fullMapTable(), moesiTable()}) {
+        const std::vector<std::size_t> perm = crossGroupPermutation(t);
+        ASSERT_EQ(perm.size(), t.rows.size()) << t.name;
+        TransitionTable moved = t;
+        for (std::size_t j = 0; j < perm.size(); ++j)
+            moved.rows[j] = t.rows[perm[j]];
+        ASSERT_NE(perm[0], 0u) << t.name << ": permutation is trivial";
+
         ProtoConfig pc = smallConfig(4);
-        TableProtocol indexed(t, pc);
-        TableProtocol linear(t, pc);
-        linear.useLinearDispatch(true);
+        TableProtocol declared(t, pc);
+        TableProtocol reordered(moved, pc);
 
         Rng rng(0x9e3779b97f4a7c15ULL);
         Value nonce = 0;
@@ -360,28 +337,31 @@ TEST(TableDispatch, IndexedAndLinearDispatchAreEquivalent)
             const Addr a = rng.range(48);
             const bool w = rng.chance(0.3);
             const Value v = w ? ++nonce : 0;
-            ASSERT_EQ(indexed.access(p, a, w, v),
-                      linear.access(p, a, w, v))
+            ASSERT_EQ(declared.access(p, a, w, v),
+                      reordered.access(p, a, w, v))
                 << t.name << " diverged at ref " << i;
             if (i % 500 == 499) {
-                indexed.flushCache(p);
-                linear.flushCache(p);
+                declared.flushCache(p);
+                reordered.flushCache(p);
             }
         }
-        EXPECT_EQ(indexed.rowHits(), linear.rowHits()) << t.name;
-        std::vector<std::uint64_t> vi, vl;
+        std::vector<std::uint64_t> hitsBack(t.rows.size());
+        for (std::size_t j = 0; j < perm.size(); ++j)
+            hitsBack[perm[j]] = reordered.rowHits()[j];
+        EXPECT_EQ(declared.rowHits(), hitsBack) << t.name;
+        std::vector<std::uint64_t> vd, vr;
         AccessCounts::forEachField(
-            indexed.counts(),
-            [&](const char *, std::uint64_t v) { vi.push_back(v); });
+            declared.counts(),
+            [&](const char *, std::uint64_t v) { vd.push_back(v); });
         AccessCounts::forEachField(
-            linear.counts(),
-            [&](const char *, std::uint64_t v) { vl.push_back(v); });
-        EXPECT_EQ(vi, vl) << t.name;
+            reordered.counts(),
+            [&](const char *, std::uint64_t v) { vr.push_back(v); });
+        EXPECT_EQ(vd, vr) << t.name;
         for (Addr a = 0; a < 48; ++a)
-            ASSERT_EQ(indexed.dirStateOf(a), linear.dirStateOf(a))
+            ASSERT_EQ(declared.dirStateOf(a), reordered.dirStateOf(a))
                 << t.name << " dir state differs at block " << a;
-        indexed.checkInvariants();
-        linear.checkInvariants();
+        declared.checkInvariants();
+        reordered.checkInvariants();
     }
 }
 

@@ -99,7 +99,6 @@ TEST_P(TimedAlloc, RunAllocatesFarLessThanOncePerReference)
         return stream.nextFor(p);
     };
 
-    const std::uint64_t fallbacks = EventQueue::Callback::heapFallbacks();
     allocations = 0;
     counting = true;
     const TimedRunResult r = sys.run(src, refsPerProc);
@@ -111,7 +110,6 @@ TEST_P(TimedAlloc, RunAllocatesFarLessThanOncePerReference)
     EXPECT_LT(perRef, 0.01)
         << allocations.load() << " heap allocations for "
         << r.refsCompleted << " references";
-    EXPECT_EQ(EventQueue::Callback::heapFallbacks(), fallbacks);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, TimedAlloc,

@@ -26,7 +26,6 @@
 #include <memory>
 #include <vector>
 
-#include "core/two_bit_protocol.hh"
 #include "core/two_bit_tb_protocol.hh"
 #include "proto/protocol_factory.hh"
 #include "report/bench_cli.hh"
@@ -123,13 +122,13 @@ main(int argc, char **argv)
         tasks.push_back([filter, refs] {
             ProtoConfig cfg = system(kProcs);
             cfg.snoopFilter = filter;
-            TwoBitProtocol proto(cfg);
-            return runProto(proto, workload(kProcs), refs);
+            auto proto = makeProtocol("two_bit", cfg);
+            return runProto(*proto, workload(kProcs), refs);
         });
     }
     tasks.push_back([refs] {
-        TwoBitProtocol proto(system(kProcs));
-        return runProto(proto, workload(kProcs), refs);
+        auto proto = makeProtocol("two_bit", system(kProcs));
+        return runProto(*proto, workload(kProcs), refs);
     });
     for (std::size_t cap : kTbCaps) {
         tasks.push_back([cap, refs] {

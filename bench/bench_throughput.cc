@@ -137,7 +137,7 @@ struct KernelChurn
  * kernel without ever draining it, which is what the timed tier
  * actually does (the burst bench above measures the empty/refill
  * corner instead).  This is the headline events/sec figure in
- * docs/PERFORMANCE.md and BENCH_4.json.
+ * docs/PERFORMANCE.md.
  */
 void
 BM_EventKernelChurn(benchmark::State &state)
@@ -413,9 +413,9 @@ main(int argc, char **argv)
     // The benchmark JSON's library_build_type field describes the
     // INSTALLED google-benchmark library, which on some systems is a
     // debug build no matter how dir2b was compiled.  Stamp the
-    // simulator's own configuration into the context so
-    // tools/run_bench_baseline.sh can gate on what actually matters:
-    // whether the simulator code being measured is optimised.
+    // simulator's own configuration into the context so a reader can
+    // check what actually matters: whether the simulator code being
+    // measured is optimised.
     benchmark::AddCustomContext("dir2b_build_type", DIR2B_BUILD_TYPE);
 #ifdef __OPTIMIZE__
     benchmark::AddCustomContext("dir2b_optimized", "true");

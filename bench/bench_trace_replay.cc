@@ -1,6 +1,7 @@
 /**
  * @file
- * Trace-replay throughput (google-benchmark): the BENCH_9 A/B.
+ * Trace-replay throughput (google-benchmark): text parse vs mmap
+ * batched replay.
  *
  * A synthetic workload is recorded once — as a text trace
  * (trace_io.hh) and as the binary block format (trace_binary.hh) —
@@ -14,8 +15,8 @@
  *   BM_FuncReplayBatched   runFunctionalBatched over block spans
  *
  * The fixture defaults to 1M references so the perf_smoke ctest entry
- * stays fast; DIR2B_TRACE_REPLAY_REFS scales it up (BENCH_9.json is
- * recorded at 100M — see docs/PERFORMANCE.md).
+ * stays fast; DIR2B_TRACE_REPLAY_REFS scales it up (docs/PERFORMANCE.md
+ * quotes 100M-reference runs).
  */
 
 #include <benchmark/benchmark.h>
@@ -220,8 +221,8 @@ int
 main(int argc, char **argv)
 {
     // Same stamping contract as bench_throughput.cc: record the
-    // simulator's own build configuration so run_bench_baseline.sh
-    // can gate on the code actually measured.
+    // simulator's own build configuration, the code actually
+    // measured.
     benchmark::AddCustomContext("dir2b_build_type", DIR2B_BUILD_TYPE);
 #ifdef __OPTIMIZE__
     benchmark::AddCustomContext("dir2b_optimized", "true");

@@ -10,7 +10,8 @@
 
 #include <cstdio>
 
-#include "core/two_bit_protocol.hh"
+#include "proto/protocol_factory.hh"
+#include "proto/table_engine.hh"
 #include "trace/reference.hh"
 
 using namespace dir2b;
@@ -18,7 +19,16 @@ using namespace dir2b;
 namespace
 {
 
-TwoBitProtocol *gProto = nullptr;
+const TableProtocol *gState = nullptr;
+Protocol *gProto = nullptr;
+
+/** The §3.1 global state of block a (the two-bit table's state index
+ *  is the GlobalState value). */
+GlobalState
+globalState(Addr a)
+{
+    return static_cast<GlobalState>(gState->dirStateOf(a));
+}
 
 void
 step(const char *what, ProcId p, Addr a, bool write, const char *expect,
@@ -28,9 +38,9 @@ step(const char *what, ProcId p, Addr a, bool write, const char *expect,
     // eviction steps can show the *victim's* transition.
     if (watch == invalidAddr)
         watch = a;
-    const GlobalState before = gProto->globalState(watch);
+    const GlobalState before = globalState(watch);
     gProto->access(p, a, write, write ? 0xC0FFEE00 + p : 0);
-    const GlobalState after = gProto->globalState(watch);
+    const GlobalState after = globalState(watch);
     const auto &d = gProto->lastDelta();
     std::printf("%-34s %-9s -> %-9s", what, toString(before).c_str(),
                 toString(after).c_str());
@@ -55,8 +65,9 @@ main()
     cfg.cacheGeom.sets = 1;
     cfg.cacheGeom.ways = 2; // tiny cache so we can force ejections
     cfg.numModules = 1;
-    TwoBitProtocol proto(cfg);
-    gProto = &proto;
+    auto proto = makeProtocol("two_bit", cfg);
+    gProto = proto.get();
+    gState = &dynamic_cast<const TableProtocol &>(*proto);
 
     const Addr a = 0;
     const Addr b = 2; // same set as a (1-set cache)
@@ -93,8 +104,9 @@ main()
     // so cache contents are predictable.
     std::printf("\nThe Present* anomaly (Sec. 3.1 footnote), on a "
                 "fresh system:\n\n");
-    TwoBitProtocol proto2(cfg);
-    gProto = &proto2;
+    auto proto2 = makeProtocol("two_bit", cfg);
+    gProto = proto2.get();
+    gState = &dynamic_cast<const TableProtocol &>(*proto2);
     const Addr z = 6;
     step("P0 reads z", 0, z, false, "Absent -> Present1");
     step("P1 reads z", 1, z, false, "Present1 -> Present*");
@@ -111,8 +123,8 @@ main()
     std::printf("\nDirectory bill: 2 bits/block, vs %u bits/block for "
                 "the full map at n=4.\n",
                 cfg.numProcs + 1);
-    proto.checkInvariants();
-    proto2.checkInvariants();
+    proto->checkInvariants();
+    proto2->checkInvariants();
     std::printf("All invariants hold.\n");
     return 0;
 }

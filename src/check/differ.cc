@@ -247,165 +247,6 @@ fuzzTrace(const FuzzConfig &cfg, std::uint64_t index)
     return recordStream(stream, cfg.refsPerSeed);
 }
 
-namespace
-{
-
-/** First differing AccessCounts field, as "name: ref vs subject". */
-std::optional<std::string>
-countsDiff(const AccessCounts &ref, const AccessCounts &sub)
-{
-    std::optional<std::string> diff;
-    std::vector<std::pair<const char *, std::uint64_t>> refFields;
-    AccessCounts::forEachField(
-        ref, [&](const char *n, std::uint64_t v) {
-            refFields.emplace_back(n, v);
-        });
-    std::size_t i = 0;
-    AccessCounts::forEachField(
-        sub, [&](const char *n, std::uint64_t v) {
-            if (!diff && refFields[i].second != v) {
-                std::ostringstream os;
-                os << n << ": " << refFields[i].second << " vs " << v;
-                diff = os.str();
-            }
-            ++i;
-        });
-    return diff;
-}
-
-} // namespace
-
-std::vector<std::pair<std::string, std::string>>
-lockstepPairs()
-{
-    return {{"two_bit", "two_bit_table"},
-            {"full_map", "full_map_table"}};
-}
-
-std::optional<DiffFailure>
-lockstepTrace(const LockstepConfig &cfg,
-              const std::vector<MemRef> &trace)
-{
-    ProtoConfig pc;
-    pc.numProcs = cfg.numProcs;
-    pc.numModules = cfg.numModules;
-    pc.cacheGeom.sets = cfg.sets;
-    pc.cacheGeom.ways = cfg.ways;
-
-    const auto ref = makeProtocol(cfg.reference, pc);
-    const auto sub = makeProtocol(cfg.subject, pc);
-
-    auto fail = [&](const std::string &kind, std::size_t step,
-                    const std::string &detail) {
-        return DiffFailure{cfg.subject, kind, step, detail};
-    };
-
-    CoherenceOracle oracle;
-    for (std::size_t step = 0; step < trace.size(); ++step) {
-        const MemRef &r = trace[step];
-        const Value wval = r.write ? oracle.freshValue() : 0;
-        const Value vRef = ref->access(r.proc, r.addr, r.write, wval);
-        const Value vSub = sub->access(r.proc, r.addr, r.write, wval);
-        if (r.write)
-            oracle.onWrite(r.addr, wval);
-
-        if (vRef != vSub) {
-            std::ostringstream os;
-            os << toString(r) << " returned " << vRef << " ("
-               << cfg.reference << ") vs " << vSub << " ("
-               << cfg.subject << ")";
-            return fail("lockstep-value", step, os.str());
-        }
-        if (auto d = countsDiff(ref->lastDelta(), sub->lastDelta())) {
-            std::ostringstream os;
-            os << toString(r) << " delta diverged: " << *d;
-            return fail("lockstep-delta", step, os.str());
-        }
-
-        if (cfg.flushEvery && (step + 1) % cfg.flushEvery == 0) {
-            const ProcId p = static_cast<ProcId>(
-                ((step + 1) / cfg.flushEvery) % cfg.numProcs);
-            ref->flushCache(p);
-            sub->flushCache(p);
-        }
-    }
-
-    if (auto d = countsDiff(ref->counts(), sub->counts()))
-        return fail("lockstep-counts", trace.size(),
-                    "cumulative counters diverged: " + *d);
-
-    for (ProcId p = 0; p < cfg.numProcs; ++p) {
-        if (ref->cmdsReceivedBy(p) != sub->cmdsReceivedBy(p) ||
-            ref->uselessReceivedBy(p) != sub->uselessReceivedBy(p)) {
-            std::ostringstream os;
-            os << "per-processor command counters of P" << p
-               << " diverged: recv " << ref->cmdsReceivedBy(p)
-               << "/" << ref->uselessReceivedBy(p) << " vs "
-               << sub->cmdsReceivedBy(p) << "/"
-               << sub->uselessReceivedBy(p);
-            return fail("lockstep-recv", trace.size(), os.str());
-        }
-    }
-
-    for (const Addr a : touchedBlocks(trace)) {
-        for (ProcId p = 0; p < cfg.numProcs; ++p) {
-            const CacheLine *lr = ref->cache(p).peek(a);
-            const CacheLine *ls = sub->cache(p).peek(a);
-            const bool vr = lr && lr->valid();
-            const bool vs = ls && ls->valid();
-            if (vr != vs || (vr && (lr->state != ls->state ||
-                                    lr->value != ls->value))) {
-                std::ostringstream os;
-                os << "cache " << p << " line for block " << a
-                   << " diverged: "
-                   << (vr ? toString(lr->state) : "Invalid") << " vs "
-                   << (vs ? toString(ls->state) : "Invalid");
-                return fail("lockstep-line", trace.size(), os.str());
-            }
-        }
-        if (imageOf(*ref, a) != imageOf(*sub, a) ||
-            ref->memValue(a) != sub->memValue(a)) {
-            std::ostringstream os;
-            os << "final image of block " << a << " diverged: "
-               << imageOf(*ref, a) << "/" << ref->memValue(a)
-               << " vs " << imageOf(*sub, a) << "/"
-               << sub->memValue(a);
-            return fail("lockstep-image", trace.size(), os.str());
-        }
-    }
-    return std::nullopt;
-}
-
-std::optional<DiffFailure>
-lockstepFuzz(const FuzzConfig &cfg, unsigned threads)
-{
-    const auto pairs = lockstepPairs();
-    // Task grid: pairs x {no flush, flushEvery=97} x seeds.
-    const std::size_t variants = pairs.size() * 2;
-    std::vector<std::optional<DiffFailure>> verdicts(
-        variants * cfg.numSeeds);
-
-    parallelFor(0, verdicts.size(), [&](std::size_t i) {
-        const std::size_t seed = i / variants;
-        const std::size_t variant = i % variants;
-        LockstepConfig lc;
-        lc.reference = pairs[variant / 2].first;
-        lc.subject = pairs[variant / 2].second;
-        lc.numProcs = cfg.diff.numProcs;
-        lc.numModules = cfg.diff.numModules;
-        lc.sets = cfg.diff.sets;
-        lc.ways = cfg.diff.ways;
-        // A prime stride so flushes drift across the trace phases.
-        lc.flushEvery = (variant % 2) ? 97 : 0;
-        verdicts[i] = lockstepTrace(lc, fuzzTrace(cfg, seed));
-    }, threads);
-
-    for (const auto &v : verdicts)
-        if (v)
-            return v;
-    return std::nullopt;
-}
-
 FuzzResult
 fuzzMany(const FuzzConfig &cfg, unsigned threads,
          const ProtocolMaker &maker)

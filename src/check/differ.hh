@@ -32,7 +32,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "check/seedfile.hh"
@@ -139,47 +138,6 @@ std::vector<MemRef> fuzzTrace(const FuzzConfig &cfg,
  *  the thread count. */
 FuzzResult fuzzMany(const FuzzConfig &cfg, unsigned threads = 0,
                     const ProtocolMaker &maker = {});
-
-/**
- * Cross-interpreter lockstep: a hand-written scheme and its
- * table-driven re-expression replay one trace side by side and must
- * agree on strictly more than the differ checks — the return value of
- * every access, every per-access counter delta field by field, the
- * cumulative counters, the per-processor received-command counters,
- * every cache line (tag, state, value), and the final per-block
- * images.  This is the contract that lets a transition table replace
- * a hand-written protocol.
- */
-struct LockstepConfig
-{
-    /** Hand-written scheme (the semantics of record). */
-    std::string reference = "two_bit";
-    /** Table-driven re-expression under test. */
-    std::string subject = "two_bit_table";
-    ProcId numProcs = 3;
-    ModuleId numModules = 2;
-    std::size_t sets = 4;
-    std::size_t ways = 2;
-    /** Flush a rotating processor's cache every N references
-     *  (0 = never); drives the table's evict rows against the
-     *  hand-written flushCache path. */
-    std::uint64_t flushEvery = 0;
-};
-
-/** The (reference, subject) pairs held bit-identical by construction:
- *  {two_bit, two_bit_table} and {full_map, full_map_table}. */
-std::vector<std::pair<std::string, std::string>> lockstepPairs();
-
-/** Replay one trace through both interpreters; first divergence or
- *  nullopt.  DiffFailure::protocol names the subject. */
-std::optional<DiffFailure>
-lockstepTrace(const LockstepConfig &cfg,
-              const std::vector<MemRef> &trace);
-
-/** Campaign: every lockstep pair over the fuzz traces of `cfg`, with
- *  and without periodic flushes.  First divergence or nullopt. */
-std::optional<DiffFailure>
-lockstepFuzz(const FuzzConfig &cfg, unsigned threads = 0);
 
 } // namespace dir2b
 

@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/two_bit_protocol.hh"
 #include "core/two_bit_wt_protocol.hh"
 #include "proto/table_engine.hh"
 
@@ -39,9 +38,10 @@ census(const Protocol &proto, Addr a)
     return c;
 }
 
+/** Directory-vs-census check for the write-through two-bit variant,
+ *  the one two-bit map kept outside the table engine. */
 std::optional<Violation>
-checkTwoBitMap(GlobalState st, Addr a, const Copies &c,
-               bool writeThrough)
+checkTwoBitWtMap(GlobalState st, Addr a, const Copies &c)
 {
     std::ostringstream os;
     os << "block " << a << " is " << toString(st) << " but has "
@@ -64,9 +64,8 @@ checkTwoBitMap(GlobalState st, Addr a, const Copies &c,
             return bad;
         break;
       case GlobalState::PresentM:
-        if (writeThrough || c.holders != 1 || c.modified != 1)
-            return bad;
-        break;
+        // Write-through caches never hold a modified copy.
+        return bad;
     }
     return std::nullopt;
 }
@@ -103,7 +102,6 @@ std::optional<Violation>
 checkProtocolState(const Protocol &proto, const CoherenceOracle &oracle,
                    const std::vector<Addr> &blocks)
 {
-    const auto *twoBit = dynamic_cast<const TwoBitProtocol *>(&proto);
     const auto *wt = dynamic_cast<const TwoBitWtProtocol *>(&proto);
     const auto *tab = dynamic_cast<const TableProtocol *>(&proto);
 
@@ -137,13 +135,8 @@ checkProtocolState(const Protocol &proto, const CoherenceOracle &oracle,
             return violation("stale-memory", os.str());
         }
 
-        if (twoBit) {
-            auto v = checkTwoBitMap(twoBit->globalState(a), a, c,
-                                    false);
-            if (v)
-                return v;
-        } else if (wt) {
-            auto v = checkTwoBitMap(wt->globalState(a), a, c, true);
+        if (wt) {
+            auto v = checkTwoBitWtMap(wt->globalState(a), a, c);
             if (v)
                 return v;
         } else if (tab) {
@@ -158,8 +151,8 @@ checkProtocolState(const Protocol &proto, const CoherenceOracle &oracle,
 bool
 broadcastDeltaApplies(const Protocol &proto)
 {
-    // two_bit_table is held bit-identical to two_bit, so the §4.2
-    // command-count law binds it too.
+    // two_bit and two_bit_table run the same table, and the ablation
+    // differs only in never reaching Present1.
     return (proto.name() == "two_bit" ||
             proto.name() == "two_bit_nop1" ||
             proto.name() == "two_bit_table") &&
@@ -170,10 +163,8 @@ PreAccess
 snapshotPreAccess(const Protocol &proto, const MemRef &ref)
 {
     PreAccess pre;
-    if (const auto *tb = dynamic_cast<const TwoBitProtocol *>(&proto))
-        pre.global = tb->globalState(ref.addr);
-    else if (proto.name() == "two_bit_table")
-        // The two_bit table's state indices are the GlobalState values.
+    if (broadcastDeltaApplies(proto))
+        // The two-bit tables' state indices are the GlobalState values.
         pre.global = static_cast<GlobalState>(
             dynamic_cast<const TableProtocol &>(proto)
                 .dirStateOf(ref.addr));

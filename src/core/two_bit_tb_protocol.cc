@@ -2,13 +2,14 @@
 
 #include <algorithm>
 
+#include "proto/table_defs.hh"
 #include "util/logging.hh"
 
 namespace dir2b
 {
 
 TwoBitTbProtocol::TwoBitTbProtocol(const ProtoConfig &cfg)
-    : TwoBitProtocol("two_bit_tb", cfg)
+    : TableProtocol(twoBitTable(), cfg, "two_bit_tb")
 {
     tbs_.reserve(cfg.numModules);
     for (ModuleId m = 0; m < cfg.numModules; ++m)
@@ -33,7 +34,7 @@ TwoBitTbProtocol::sendRemoteInvalidate(Addr a, ProcId except)
     auto holders = tbFor(a).lookup(a);
     if (!holders) {
         ++counts_.tbMisses;
-        broadcastInvalidate(a, except);
+        TableProtocol::sendRemoteInvalidate(a, except);
         // The broadcast left exactly the requester holding the block
         // (or nobody, on a write miss): the set is exact again.
         std::vector<ProcId> fresh;
@@ -70,7 +71,8 @@ TwoBitTbProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
     auto holders = tbFor(a).lookup(a);
     if (!holders) {
         ++counts_.tbMisses;
-        const Value v = broadcastQuery(a, requester, rw);
+        const Value v =
+            TableProtocol::sendRemoteQuery(a, requester, rw);
         // After the query the holder set is exact: the old owner kept
         // a clean copy on a read query, or vanished on a write query.
         std::vector<ProcId> fresh;
@@ -117,44 +119,37 @@ TwoBitTbProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
 }
 
 void
-TwoBitTbProtocol::noteFill(ProcId k, Addr a, GlobalState before,
-                           bool write)
+TwoBitTbProtocol::noteRow(ProcId k, Addr a, EventClass ev,
+                          std::uint8_t before, std::uint8_t after)
 {
     TranslationBuffer &tb = tbFor(a);
-    if (write || before == GlobalState::Absent) {
-        // The holder set is unambiguous: exactly the requester.
+    const auto absent = static_cast<std::uint8_t>(GlobalState::Absent);
+    switch (ev) {
+      case EventClass::ReadMiss:
+        if (before == absent) {
+            // The holder set is unambiguous: exactly the requester.
+            tb.installExact(a, {k});
+        } else {
+            // Keep a resident entry exact; a missing entry stays
+            // unknown.
+            tb.addHolder(a, k);
+        }
+        break;
+      case EventClass::WriteMiss:
+      case EventClass::WriteHitClean:
+        // The requester is the sole holder after the grant.
         tb.installExact(a, {k});
-    } else {
-        // Keep a resident entry exact; a missing entry stays unknown.
-        tb.addHolder(a, k);
+        break;
+      case EventClass::EvictClean:
+      case EventClass::EvictDirty:
+        if (after == absent)
+            tb.drop(a);
+        else
+            tb.removeHolder(a, k);
+        break;
+      default:
+        break;
     }
-}
-
-void
-TwoBitTbProtocol::noteUpgrade(ProcId k, Addr a)
-{
-    tbFor(a).installExact(a, {k});
-}
-
-void
-TwoBitTbProtocol::noteEject(ProcId k, Addr a, bool toAbsent)
-{
-    if (toAbsent)
-        tbFor(a).drop(a);
-    else
-        tbFor(a).removeHolder(a, k);
-}
-
-void
-TwoBitTbProtocol::checkInvariants() const
-{
-    TwoBitProtocol::checkInvariants();
-    // Every resident TB entry must be exact: listed holders hold the
-    // block and no unlisted cache does.
-    // (Scanning the buffers requires iterating their maps; we verify
-    // through the holder sets the protocol consults, which assert on
-    // use.  Here we check the cheap direction: every TB-listed holder
-    // is real.)
 }
 
 } // namespace dir2b

@@ -2,8 +2,9 @@
  * @file
  * Two-bit directory + translation buffer (the §4.4 enhancement).
  *
- * Identical to TwoBitProtocol except that each memory controller first
- * consults its TranslationBuffer before broadcasting: a hit yields the
+ * The two-bit table (proto/table_defs.hh) run by the table engine,
+ * except that each memory controller first consults its
+ * TranslationBuffer before broadcasting: a hit yields the
  * exact holder set and the commands go out *directed*, "just as with
  * the n+1 bit approach"; a miss falls back to the broadcast, after
  * which the controller re-learns the holder set and installs it.
@@ -20,13 +21,13 @@
 #include <vector>
 
 #include "core/translation_buffer.hh"
-#include "core/two_bit_protocol.hh"
+#include "proto/table_engine.hh"
 
 namespace dir2b
 {
 
 /** Two-bit scheme with per-module owner-identity caches. */
-class TwoBitTbProtocol : public TwoBitProtocol
+class TwoBitTbProtocol : public TableProtocol
 {
   public:
     explicit TwoBitTbProtocol(const ProtoConfig &cfg);
@@ -39,16 +40,14 @@ class TwoBitTbProtocol : public TwoBitProtocol
         return tbs_.at(m);
     }
 
-    void checkInvariants() const override;
-
   protected:
     void sendRemoteInvalidate(Addr a, ProcId except) override;
     Value sendRemoteQuery(Addr a, ProcId requester, RW rw) override;
 
-    void noteFill(ProcId k, Addr a, GlobalState before,
-                  bool write) override;
-    void noteUpgrade(ProcId k, Addr a) override;
-    void noteEject(ProcId k, Addr a, bool toAbsent) override;
+    /** The home controller sees every REQUEST, MREQUEST and EJECT for
+     *  its blocks, which keeps the holder sets exact. */
+    void noteRow(ProcId k, Addr a, EventClass ev, std::uint8_t before,
+                 std::uint8_t after) override;
 
   private:
     TranslationBuffer &tbFor(Addr a) { return tbs_[addrMap_.home(a)]; }

@@ -18,40 +18,40 @@
  * In the timed tier the central controller also serialises *all*
  * requests (no per-module distribution is possible), which is the
  * paper's expansibility objection.
+ *
+ * Functionally the scheme is the full-map table (proto/table_defs.hh)
+ * run by the table engine, with both costs charged from its hooks.
  */
 
 #ifndef DIR2B_PROTO_DUP_DIR_HH
 #define DIR2B_PROTO_DUP_DIR_HH
 
-#include "proto/full_map.hh"
+#include "proto/table_defs.hh"
+#include "proto/table_engine.hh"
 
 namespace dir2b
 {
 
 /** Functional-tier Tang duplicated-directory protocol. */
-class DupDirProtocol : public FullMapProtocol
+class DupDirProtocol : public TableProtocol
 {
   public:
-    explicit DupDirProtocol(const ProtoConfig &cfg)
-        : FullMapProtocol("dup_dir", cfg)
-    {}
-
     /**
      * The duplicates replicate each cache's tag store at the
      * controller.  Per memory block the map costs nothing — the cost
-     * scales with total cache capacity instead — so we report the
-     * equivalent: one presence bit per cache plus the modified bit,
-     * which is what the duplicates encode per cached block.
+     * scales with total cache capacity instead — so the full-map
+     * table's metadata reports the equivalent: one presence bit per
+     * cache plus the modified bit, which is what the duplicates encode
+     * per cached block.
      */
-    unsigned
-    directoryBitsPerBlock() const override
-    {
-        return static_cast<unsigned>(cfg_.numProcs) + 1;
-    }
+    explicit DupDirProtocol(const ProtoConfig &cfg)
+        : TableProtocol(fullMapTable(), cfg, "dup_dir")
+    {}
 
   protected:
     void
-    onDirectoryTouch(Addr) override
+    noteRow(ProcId, Addr, EventClass, std::uint8_t,
+            std::uint8_t) override
     {
         // Every consultation scans all n duplicate directories.
         counts_.dirSearches += cfg_.numProcs;

@@ -53,11 +53,6 @@ struct ProtoConfig
     /** Two-bit: duplicate each cache's tag directory so broadcast
      *  checks for absent blocks steal no cache cycle (§4.4 a). */
     bool snoopFilter = false;
-    /** Two-bit ablation: drop the Present1 encoding (fold it into
-     *  Present*), isolating the value of the paper's §3.2.1/§3.2.4
-     *  claim that keeping Present1 "will reduce the number of
-     *  broadcasts". */
-    bool noPresent1 = false;
     /** Software scheme: blocks at or above this address are tagged
      *  shared-writeable and are never cached. */
     Addr nonCacheableBase = invalidAddr;

@@ -1,11 +1,9 @@
 #include "proto/protocol_factory.hh"
 
-#include "core/two_bit_protocol.hh"
 #include "core/two_bit_tb_protocol.hh"
 #include "core/two_bit_wt_protocol.hh"
 #include "proto/classical.hh"
 #include "proto/dup_dir.hh"
-#include "proto/full_map.hh"
 #include "proto/full_map_local.hh"
 #include "proto/illinois.hh"
 #include "proto/software.hh"
@@ -20,20 +18,19 @@ namespace dir2b
 std::unique_ptr<Protocol>
 makeProtocol(const std::string &name, const ProtoConfig &cfg)
 {
-    if (name == "two_bit")
-        return std::make_unique<TwoBitProtocol>(cfg);
-    if (name == "two_bit_nop1") {
-        ProtoConfig ablated = cfg;
-        ablated.noPresent1 = true;
-        return std::make_unique<TwoBitProtocol>("two_bit_nop1",
-                                                ablated);
-    }
+    // The two-bit scheme, the full map and their variants run on the
+    // table engine; the shipped tables are compiled once and shared.
+    if (name == "two_bit" || name == "two_bit_table")
+        return std::make_unique<TableProtocol>(twoBitTable(), cfg, name);
+    if (name == "two_bit_nop1")
+        return std::make_unique<TableProtocol>(twoBitNoPresent1Table(),
+                                               cfg);
     if (name == "two_bit_tb")
         return std::make_unique<TwoBitTbProtocol>(cfg);
     if (name == "two_bit_wt")
         return std::make_unique<TwoBitWtProtocol>(cfg);
-    if (name == "full_map")
-        return std::make_unique<FullMapProtocol>(cfg);
+    if (name == "full_map" || name == "full_map_table")
+        return std::make_unique<TableProtocol>(fullMapTable(), cfg, name);
     if (name == "full_map_local")
         return std::make_unique<FullMapLocalProtocol>(cfg);
     if (name == "dup_dir")
@@ -46,11 +43,6 @@ makeProtocol(const std::string &name, const ProtoConfig &cfg)
         return std::make_unique<IllinoisProtocol>(cfg);
     if (name == "software")
         return std::make_unique<SoftwareProtocol>(cfg);
-    // Table-driven protocols: same interpreter, different data.
-    if (name == "two_bit_table")
-        return std::make_unique<TableProtocol>(twoBitTable(), cfg);
-    if (name == "full_map_table")
-        return std::make_unique<TableProtocol>(fullMapTable(), cfg);
     if (name == "moesi")
         return std::make_unique<TableProtocol>(moesiTable(), cfg);
     DIR2B_FATAL("unknown protocol '", name, "'");

@@ -1,5 +1,7 @@
 #include "proto/table_defs.hh"
 
+#include <vector>
+
 namespace dir2b
 {
 namespace
@@ -66,23 +68,34 @@ constexpr StateConstraint none{0, 0, 0, 0};
 /** Exactly one holder, modified. */
 constexpr StateConstraint oneDirty{1, 1, 1, 1};
 
+/** A hit row for every directory state: answered without reading the
+ *  directory, as hits are in the paper. */
+TableRow
+hitRow(E ev, std::vector<TableAction> actions)
+{
+    return row(anyState, ev, std::move(actions), anyState);
+}
+
+/** The §3 two-bit scheme; without Present1 it is the ablation that
+ *  folds Present1 into Present* (the first reader goes straight to
+ *  Present*), isolating the value of the paper's §3.2.1/§3.2.4 claim
+ *  that keeping Present1 "will reduce the number of broadcasts". */
 TransitionTable
-buildTwoBit()
+buildTwoBit(const char *name, bool present1)
 {
     // States are the §3.1 global states, indices = GlobalState values.
     enum : std::uint8_t { A, P1, PS, PM };
+    const std::uint8_t firstReader = present1 ? P1 : PS;
     TransitionTable t;
-    t.name = "two_bit_table";
+    t.name = name;
     t.stateNames = {"Absent", "Present1", "Present*", "PresentM"};
     t.constraints = {none, one, anyClean, oneDirty};
     t.dirBitsFixed = 2;
     t.dirBitsPerProc = 0;
     t.rows = {
         // Hits never touch the directory.
-        row(P1, E::ReadHit, {}, P1),
-        row(PS, E::ReadHit, {}, PS),
-        row(PM, E::ReadHit, {}, PM),
-        row(PM, E::WriteHitDirty, {act(ActionOp::WriteLine)}, PM),
+        hitRow(E::ReadHit, {}),
+        hitRow(E::WriteHitDirty, {act(ActionOp::WriteLine)}),
 
         // §3.2.4 write hit on a clean copy: MREQUEST + MGRANTED;
         // Present1 grants without a broadcast (the payoff of keeping
@@ -102,10 +115,10 @@ buildTwoBit()
         // §3.2.2 read miss: REQUEST, then memory or BROADQUERY.
         row(A, E::ReadMiss,
             {bump(C::Requests), bump(C::NetMessages),
-             act(ActionOp::ReadMem), setDir(P1),
+             act(ActionOp::ReadMem), setDir(firstReader),
              bump(C::DataTransfers), bump(C::NetMessages),
              fill(LineState::Shared)},
-            P1),
+            firstReader),
         row(P1, E::ReadMiss,
             {bump(C::Requests), bump(C::NetMessages),
              act(ActionOp::ReadMem), setDir(PS),
@@ -167,6 +180,9 @@ buildTwoBit()
              act(ActionOp::DropLine)},
             A),
     };
+    if (!present1)
+        std::erase_if(t.rows,
+                      [](const TableRow &r) { return r.state == P1; });
     return t;
 }
 
@@ -184,9 +200,8 @@ buildFullMap()
     t.dirBitsFixed = 1;   // the modified bit
     t.dirBitsPerProc = 1; // one presence bit per cache
     t.rows = {
-        row(S, E::ReadHit, {}, S),
-        row(M, E::ReadHit, {}, M),
-        row(M, E::WriteHitDirty, {act(ActionOp::WriteLine)}, M),
+        hitRow(E::ReadHit, {}),
+        hitRow(E::WriteHitDirty, {act(ActionOp::WriteLine)}),
 
         // Write hit on a clean copy: directed INVALIDATEs to the
         // exactly-known other holders, no broadcast ever.
@@ -271,10 +286,9 @@ buildMoesi()
     t.dirBitsFixed = 2;   // four directory states
     t.dirBitsPerProc = 1; // presence bits for directed commands
     t.rows = {
-        row(S, E::ReadHit, {}, S),
-        row(EM, E::ReadHit, {}, EM),
-        row(O, E::ReadHit, {}, O),
+        hitRow(E::ReadHit, {}),
 
+        // A dirty hit stays per-state: Owned differs from ExclMod.
         row(EM, E::WriteHitDirty, {act(ActionOp::WriteLine)}, EM),
         // The owner writes again: reclaim exclusivity from the
         // sharers (directed), silently when none remain.
@@ -414,24 +428,31 @@ buildMoesi()
 
 } // namespace
 
-const TransitionTable &
+const CompiledTable &
 twoBitTable()
 {
-    static const TransitionTable t = buildTwoBit();
+    static const CompiledTable t(buildTwoBit("two_bit_table", true));
     return t;
 }
 
-const TransitionTable &
+const CompiledTable &
+twoBitNoPresent1Table()
+{
+    static const CompiledTable t(buildTwoBit("two_bit_nop1", false));
+    return t;
+}
+
+const CompiledTable &
 fullMapTable()
 {
-    static const TransitionTable t = buildFullMap();
+    static const CompiledTable t(buildFullMap());
     return t;
 }
 
-const TransitionTable &
+const CompiledTable &
 moesiTable()
 {
-    static const TransitionTable t = buildMoesi();
+    static const CompiledTable t(buildMoesi());
     return t;
 }
 

@@ -2,21 +2,24 @@
  * @file
  * The shipped transition tables for the table-driven engine.
  *
- * Two of these re-express hand-written schemes as data and are held to
- * bit-identical behaviour by the cross-interpreter lockstep differ
- * (check/differ.hh):
+ * Each accessor validates its table and compiles the dispatch index
+ * once, on first use; every TableProtocol running it borrows the
+ * result.
  *
- *   twoBitTable()   the paper's §3 two-bit broadcast scheme
- *                   (= core/two_bit_protocol.cc, counter for counter);
- *   fullMapTable()  the Censier-Feautrier full map
- *                   (= proto/full_map.cc, counter for counter).
+ *   twoBitTable()          the paper's §3 two-bit broadcast scheme; the
+ *                          factory runs it as "two_bit" and
+ *                          "two_bit_table", and the translation-buffer
+ *                          variant "two_bit_tb" on top of it;
+ *   twoBitNoPresent1Table() the §3.2.1/§3.2.4 ablation without
+ *                          Present1 ("two_bit_nop1");
+ *   fullMapTable()         the Censier-Feautrier full map ("full_map",
+ *                          "full_map_table", and Tang's duplicated
+ *                          directories "dup_dir" on top of it);
+ *   moesiTable()           a directory MOESI with an Owned state and
+ *                          cache-to-cache supply, a protocol that
+ *                          exists only as data ("moesi").
  *
- * The third is the proof that new protocols are now data only:
- *
- *   moesiTable()    a directory MOESI with an Owned state and
- *                   cache-to-cache supply — zero interpreter changes,
- *                   26 rows.
- *
+ * tests/test_table_golden.cc pins a functional digest per scheme.
  * See docs/TABLE_ENGINE.md for the row format and how to add another.
  */
 
@@ -28,14 +31,17 @@
 namespace dir2b
 {
 
-/** The two-bit directory scheme as a table ("two_bit_table"). */
-const TransitionTable &twoBitTable();
+/** The two-bit directory scheme ("two_bit", "two_bit_table"). */
+const CompiledTable &twoBitTable();
 
-/** The full-map directory scheme as a table ("full_map_table"). */
-const TransitionTable &fullMapTable();
+/** The two-bit scheme without Present1 ("two_bit_nop1"). */
+const CompiledTable &twoBitNoPresent1Table();
+
+/** The full-map directory scheme ("full_map", "full_map_table"). */
+const CompiledTable &fullMapTable();
 
 /** Directory MOESI, new protocol purely as data ("moesi"). */
-const TransitionTable &moesiTable();
+const CompiledTable &moesiTable();
 
 } // namespace dir2b
 

@@ -94,6 +94,8 @@ namespace
 std::string
 stateName(const TransitionTable &t, std::uint8_t s)
 {
+    if (s == anyState)
+        return "*";
     if (s < t.stateNames.size())
         return t.stateNames[s];
     return "#" + std::to_string(static_cast<unsigned>(s));
@@ -158,16 +160,25 @@ TransitionTable::validate() const
         if (static_cast<unsigned>(r.guard) > 4)
             rowMsg(i, "unknown guard " +
                           std::to_string(static_cast<unsigned>(r.guard)));
-        if (r.state >= nStates)
+        const bool any = r.state == anyState;
+        if (r.state >= nStates && !any)
             rowMsg(i, "undefined state " +
                           std::to_string(static_cast<unsigned>(r.state)));
-        if (r.next >= nStates)
+        if (r.next >= nStates && !(any && r.next == anyState))
             rowMsg(i, "undefined next-state " +
                           std::to_string(static_cast<unsigned>(r.next)));
 
         for (std::size_t j = 0; j < i; ++j) {
             const TableRow &p = rows[j];
-            if (p.state != r.state || p.event != r.event)
+            if (p.event != r.event)
+                continue;
+            if ((p.state == anyState) != any) {
+                rowMsg(i, "mixes any-state and per-state rows for " +
+                              toString(r.event) + " (row " +
+                              std::to_string(j) + ")");
+                break;
+            }
+            if (p.state != r.state)
                 continue;
             if (p.guard == r.guard) {
                 rowMsg(i, "duplicate of row " + std::to_string(j));
@@ -212,7 +223,10 @@ TransitionTable::validate() const
                                   std::to_string(a.arg));
                 break;
               case ActionOp::SetDirState:
-                if (a.arg >= nStates) {
+                if (any) {
+                    rowMsg(i, where + ": an any-state row cannot "
+                                      "write the directory");
+                } else if (a.arg >= nStates) {
                     rowMsg(i, where + ": undefined target state " +
                                   std::to_string(a.arg));
                 } else {
@@ -240,56 +254,75 @@ TransitionTable::validate() const
     return msgs;
 }
 
-TableProtocol::TableProtocol(const TransitionTable &table,
-                             const ProtoConfig &cfg)
-    : Protocol(table.name, cfg),
-      table_(table),
-      dirs_(makeTwoBitDirectories(cfg.numModules, cfg.dirRamBudget)),
-      rowHits_(table.rows.size(), 0)
+CompiledTable::CompiledTable(TransitionTable table)
+    : TransitionTable(std::move(table))
 {
-    const auto problems = table_.validate();
+    const auto problems = validate();
     if (!problems.empty()) {
         std::ostringstream os;
         for (const std::string &m : problems)
             os << "\n  " << m;
-        DIR2B_FATAL("transition table '", table_.name, "' is invalid:",
+        DIR2B_FATAL("transition table '", name, "' is invalid:",
                     os.str());
     }
-    // The duplicate tag directory of §4.4(a) redirects broadcast
-    // deliveries; the shared action implementations model the plain
-    // interconnect only.
-    DIR2B_ASSERT(!cfg.snoopFilter, "table-driven protocol '",
-                 table_.name, "' does not support the snoop filter");
 
-    // Compile the validated table into a dense (state x event-class)
-    // dispatch index: each slot lists its candidate rows in
-    // declaration order, so findRow() evaluates guards over exactly
-    // the rows the linear scan would have reached — same first match,
-    // no scan over the rest of the table.
-    dispatchSlots_.assign(
-        table_.stateNames.size() * numEventClasses, {});
-    for (unsigned pass = 0; pass < 2; ++pass) {
-        for (std::size_t i = 0; i < table_.rows.size(); ++i) {
-            const TableRow &r = table_.rows[i];
-            DispatchSlot &slot = dispatchSlots_[slotIndex(
-                r.state, r.event)];
-            if (pass == 0) {
-                ++slot.len;
-            } else {
-                dispatchRows_[slot.off + slot.len++] =
-                    static_cast<std::uint16_t>(i);
-            }
-        }
-        if (pass == 0) {
-            std::uint32_t off = 0;
-            for (DispatchSlot &slot : dispatchSlots_) {
-                slot.off = off;
-                off += slot.len;
-                slot.len = 0;
-            }
-            dispatchRows_.resize(table_.rows.size());
+    // Dense (state x event-class) index: each slot lists its candidate
+    // rows in declaration order, so findRow() evaluates guards over
+    // exactly the rows a linear scan would reach.  Any-state events
+    // keep their rows in the state-0 slot.
+    slots_.assign(stateNames.size() * numEventClasses, {});
+    auto slotOf = [&](const TableRow &r) -> Slot & {
+        const auto e = static_cast<std::size_t>(r.event);
+        const bool any = r.state == anyState;
+        anyState_[e] = any;
+        return slots_[(any ? 0 : std::size_t{r.state}) *
+                          numEventClasses + e];
+    };
+    for (const TableRow &r : rows)
+        ++slotOf(r).len;
+    std::uint32_t off = 0;
+    for (Slot &slot : slots_) {
+        slot.off = off;
+        off += slot.len;
+        slot.len = 0;
+    }
+    slotRows_.resize(rows.size());
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        Slot &slot = slotOf(rows[i]);
+        slotRows_[slot.off + slot.len++] = static_cast<std::uint16_t>(i);
+    }
+    for (std::size_t e = 0; e < numEventClasses; ++e) {
+        const Slot &slot = slots_[e];
+        if (anyState_[e] && slot.len > 0 &&
+            rows[slotRows_[slot.off]].guard == TableGuard::Always) {
+            const std::uint16_t id = slotRows_[slot.off];
+            direct_[e] = {id, rows[id].actions.empty()};
         }
     }
+}
+
+TableProtocol::TableProtocol(const CompiledTable &table,
+                             const ProtoConfig &cfg,
+                             const std::string &name)
+    : Protocol(name.empty() ? table.name : name, cfg),
+      table_(&table),
+      dirs_(makeTwoBitDirectories(cfg.numModules, cfg.dirRamBudget)),
+      rowHits_(table.rows.size(), 0)
+{
+    if (cfg.snoopFilter)
+        snoops_.resize(cfg.numProcs);
+}
+
+TableProtocol::TableProtocol(const TransitionTable &table,
+                             const ProtoConfig &cfg)
+    : Protocol(table.name, cfg),
+      owned_(std::make_unique<const CompiledTable>(table)),
+      table_(owned_.get()),
+      dirs_(makeTwoBitDirectories(cfg.numModules, cfg.dirRamBudget)),
+      rowHits_(table.rows.size(), 0)
+{
+    if (cfg.snoopFilter)
+        snoops_.resize(cfg.numProcs);
 }
 
 DirStoreCounters
@@ -354,43 +387,116 @@ const TableRow *
 TableProtocol::findRow(std::uint8_t state, EventClass ev, Addr a,
                        ProcId k) const
 {
-    const DispatchSlot slot = dispatchSlots_[slotIndex(state, ev)];
-    for (std::uint32_t i = 0; i < slot.len; ++i) {
-        const TableRow &r = table_.rows[dispatchRows_[slot.off + i]];
+    const auto [first, last] = table_->candidates(state, ev);
+    for (const std::uint16_t *i = first; i != last; ++i) {
+        const TableRow &r = table_->rows[*i];
         if (guardHolds(r.guard, a, k))
             return &r;
     }
     return nullptr;
 }
 
-EventClass
-TableProtocol::classify(ProcId k, Addr a, bool write, CacheLine *&line)
+CacheLine &
+TableProtocol::fillLine(ProcId k, Addr a, LineState st, Value v)
 {
-    line = caches_[k].lookup(a, true);
-    if (line) {
-        if (!write)
-            return EventClass::ReadHit;
-        return line->dirty() ? EventClass::WriteHitDirty
-                             : EventClass::WriteHitClean;
+    CacheLine &l = caches_[k].fill(a, st, v);
+    if (!snoops_.empty())
+        snoops_[k].insert(a);
+    onCacheChange(k);
+    return l;
+}
+
+bool
+TableProtocol::dropLine(ProcId p, Addr a)
+{
+    const bool had = caches_[p].invalidate(a);
+    if (had) {
+        if (!snoops_.empty())
+            snoops_[p].erase(a);
+        onCacheChange(p);
     }
-    return write ? EventClass::WriteMiss : EventClass::ReadMiss;
+    return had;
+}
+
+bool
+TableProtocol::snoopSteals(ProcId i, Addr a)
+{
+    if (snoops_.empty())
+        return true;
+    return snoops_[i].check(a);
+}
+
+void
+TableProtocol::sendRemoteInvalidate(Addr a, ProcId except)
+{
+    ++counts_.broadcasts;
+    for (ProcId i = 0; i < cfg_.numProcs; ++i) {
+        if (i == except)
+            continue;
+        ++counts_.broadcastCmds;
+        ++counts_.netMessages;
+        CacheLine *l = caches_[i].lookup(a, false);
+        deliverCmd(i, l != nullptr, snoopSteals(i, a));
+        if (l) {
+            DIR2B_ASSERT(!l->dirty(), "BROADINV found a dirty copy of ",
+                         a, " in cache ", i,
+                         " while the directory said clean");
+            dropLine(i, a);
+            ++counts_.invalidations;
+        }
+    }
+}
+
+Value
+TableProtocol::sendRemoteQuery(Addr a, ProcId requester, RW rw)
+{
+    ++counts_.broadcasts;
+    bool found = false;
+    Value data = 0;
+    for (ProcId i = 0; i < cfg_.numProcs; ++i) {
+        if (i == requester)
+            continue;
+        ++counts_.broadcastCmds;
+        ++counts_.netMessages;
+        CacheLine *l = caches_[i].lookup(a, false);
+        const bool owner = l && l->dirty();
+        deliverCmd(i, owner, snoopSteals(i, a));
+        if (!owner)
+            continue;
+        DIR2B_ASSERT(!found, "two owners of modified block ", a);
+        found = true;
+        data = l->value;
+        ++counts_.purges;
+        // put(b_i, a) back to the controller, which writes memory back
+        // (§3.2.2 case 3 and §3.2.3 case 3).
+        ++counts_.dataTransfers;
+        ++counts_.netMessages;
+        mem_.write(a, data);
+        ++counts_.memWrites;
+        ++counts_.writebacks;
+        if (rw == RW::Read) {
+            // The owner resets its modified bit, keeps a clean copy.
+            l->state = LineState::Shared;
+            onCacheChange(i);
+        } else {
+            dropLine(i, a);
+            ++counts_.invalidations;
+        }
+    }
+    DIR2B_ASSERT(found, "BROADQUERY(", a,
+                 ") found no owner: directory/cache disagreement");
+    return data;
 }
 
 namespace
 {
 
-/** Per-dispatch interpreter registers. */
-struct ExecCtx
-{
-    ProcId proc = 0;
-    Addr addr = 0;
-    bool write = false;
-    Value wval = 0;
-    /** Requester's line (hits), the victim (evictions), or the filled
-     *  line after FillLine. */
-    CacheLine *line = nullptr;
-    /** Block data in flight (ReadMem / owner supplies). */
-    Value data = 0;
+/** The AccessCounts field each TableCounter bumps. */
+constexpr std::uint64_t AccessCounts::*bumpField[numTableCounters] = {
+    &AccessCounts::requests,      &AccessCounts::mrequests,
+    &AccessCounts::ejects,        &AccessCounts::netMessages,
+    &AccessCounts::dataTransfers, &AccessCounts::invalidations,
+    &AccessCounts::purges,
 };
 
 } // namespace
@@ -407,32 +513,37 @@ TableProtocol::evictLine(ProcId k, CacheLine &victim)
 Value
 TableProtocol::doAccess(ProcId k, Addr a, bool write, Value wval)
 {
-    CacheLine *line = nullptr;
-    const EventClass ev = classify(k, a, write, line);
-
     // Reference classification is the interpreter's, not the table's:
     // every scheme counts hits and misses the same way.
-    switch (ev) {
-      case EventClass::ReadHit:
-        ++counts_.readHits;
-        break;
-      case EventClass::WriteHitDirty:
-        ++counts_.writeHits;
-        break;
-      case EventClass::WriteHitClean:
-        ++counts_.writeHits;
-        ++counts_.writeHitsClean;
-        break;
-      case EventClass::ReadMiss:
-        ++counts_.readMisses;
-        break;
-      case EventClass::WriteMiss:
+    CacheLine *line = caches_[k].lookup(a, true);
+    EventClass ev;
+    if (line) {
+        if (!write) {
+            ev = EventClass::ReadHit;
+            ++counts_.readHits;
+        } else {
+            ++counts_.writeHits;
+            ev = EventClass::WriteHitDirty;
+            if (!line->dirty()) {
+                ev = EventClass::WriteHitClean;
+                ++counts_.writeHitsClean;
+            }
+        }
+    } else if (write) {
+        ev = EventClass::WriteMiss;
         ++counts_.writeMisses;
-        break;
-      default:
-        break;
+    } else {
+        ev = EventClass::ReadMiss;
+        ++counts_.readMisses;
     }
-
+    // Hits: no directory read, no guard, straight to the actions.
+    if (const auto d = table_->directRow(ev); d.id >= 0) {
+        const auto id = static_cast<std::size_t>(d.id);
+        ++rowHits_[id];
+        if (d.actionless && line)
+            return write ? wval : line->value;
+        return execute(table_->rows[id], k, a, write, wval, ev, line);
+    }
     return dispatch(k, a, write, wval, ev, line);
 }
 
@@ -448,163 +559,100 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             evictLine(k, victim);
     }
 
-    const std::uint8_t state = dirStateOf(a);
+    // Any-state rows (hits) answer without reading the directory.
+    const bool readsDir = !table_->anyStateEvent(ev);
+    const std::uint8_t state = readsDir ? dirStateOf(a) : anyState;
     const TableRow *row = findRow(state, ev, a, k);
     if (!row) {
-        DIR2B_FATAL("table '", table_.name, "' has no row for (",
-                    stateName(table_, state), ", ", toString(ev),
+        DIR2B_FATAL("table '", table_->name, "' has no row for (",
+                    stateName(*table_, state), ", ", toString(ev),
                     ") at block ", a, " from cache ", k,
                     ": directory/cache disagreement or incomplete "
                     "table");
     }
-    ++rowHits_[static_cast<std::size_t>(row - table_.rows.data())];
+    ++rowHits_[static_cast<std::size_t>(row - table_->rows.data())];
+    const Value result = execute(*row, k, a, write, wval, ev, line);
+    if (readsDir)
+        noteRow(k, a, ev, state, row->next);
+    return result;
+}
 
-    ExecCtx ctx;
-    ctx.proc = k;
-    ctx.addr = a;
-    ctx.write = write;
-    ctx.wval = wval;
-    ctx.line = line;
-
-    for (const TableAction &act : row->actions) {
+Value
+TableProtocol::execute(const TableRow &row, ProcId k, Addr a, bool write,
+                       Value wval, EventClass ev, CacheLine *line)
+{
+    // `line` becomes the filled line after FillLine; `data` is the
+    // block in flight (ReadMem / owner supplies).
+    Value data = 0;
+    for (const TableAction &act : row.actions) {
         switch (act.op) {
           case ActionOp::Bump:
-            switch (static_cast<TableCounter>(act.arg)) {
-              case TableCounter::Requests:
-                ++counts_.requests;
-                break;
-              case TableCounter::MRequests:
-                ++counts_.mrequests;
-                break;
-              case TableCounter::Ejects:
-                ++counts_.ejects;
-                break;
-              case TableCounter::NetMessages:
-                ++counts_.netMessages;
-                break;
-              case TableCounter::DataTransfers:
-                ++counts_.dataTransfers;
-                break;
-              case TableCounter::Invalidations:
-                ++counts_.invalidations;
-                break;
-              case TableCounter::Purges:
-                ++counts_.purges;
-                break;
-            }
+            ++(counts_.*bumpField[act.arg]);
             break;
 
           case ActionOp::ReadMem:
-            ctx.data = mem_.read(ctx.addr);
+            data = mem_.read(a);
             ++counts_.memReads;
             break;
 
           case ActionOp::WritebackLine:
-            DIR2B_ASSERT(ctx.line, "WritebackLine with no line");
+            DIR2B_ASSERT(line, "WritebackLine with no line");
             ++counts_.dataTransfers;
             ++counts_.netMessages;
-            mem_.write(ctx.addr, ctx.line->value);
+            mem_.write(a, line->value);
             ++counts_.memWrites;
             ++counts_.writebacks;
             break;
 
           case ActionOp::FillLine:
-            ctx.line = &caches_[k].fill(
-                ctx.addr, static_cast<LineState>(act.arg),
-                ctx.write ? ctx.wval : ctx.data);
+            line = &fillLine(k, a, static_cast<LineState>(act.arg),
+                                 write ? wval : data);
             break;
 
           case ActionOp::SetLine:
-            DIR2B_ASSERT(ctx.line, "SetLine with no line");
-            ctx.line->state = static_cast<LineState>(act.arg);
+            DIR2B_ASSERT(line, "SetLine with no line");
+            line->state = static_cast<LineState>(act.arg);
+            onCacheChange(k);
             break;
 
           case ActionOp::WriteLine:
-            DIR2B_ASSERT(ctx.line, "WriteLine with no line");
-            ctx.line->value = ctx.wval;
+            DIR2B_ASSERT(line, "WriteLine with no line");
+            line->value = wval;
             break;
 
           case ActionOp::DropLine:
-            caches_[k].invalidate(ctx.addr);
-            ctx.line = nullptr;
+            dropLine(k, a);
+            line = nullptr;
             break;
 
           case ActionOp::SetDirState:
-            dirFor(ctx.addr).set(ctx.addr,
-                                 static_cast<GlobalState>(act.arg));
+            dirFor(a).set(a, static_cast<GlobalState>(act.arg));
             ++counts_.setstates;
             break;
 
-          case ActionOp::SendBroadInv: {
-            ++counts_.broadcasts;
-            for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-                if (i == k)
-                    continue;
-                ++counts_.broadcastCmds;
-                ++counts_.netMessages;
-                CacheLine *l = caches_[i].lookup(ctx.addr, false);
-                deliverCmd(i, l != nullptr);
-                if (l) {
-                    DIR2B_ASSERT(!l->dirty(),
-                                 "BROADINV found a dirty copy of ",
-                                 ctx.addr, " in cache ", i,
-                                 " while the directory said clean");
-                    caches_[i].invalidate(ctx.addr);
-                    ++counts_.invalidations;
-                }
-            }
+          case ActionOp::SendBroadInv:
+            sendRemoteInvalidate(a, k);
             break;
-          }
 
           case ActionOp::SendBroadQueryRead:
-          case ActionOp::SendBroadQueryWrite: {
-            const bool isRead = act.op == ActionOp::SendBroadQueryRead;
-            ++counts_.broadcasts;
-            bool found = false;
-            for (ProcId i = 0; i < cfg_.numProcs; ++i) {
-                if (i == k)
-                    continue;
-                ++counts_.broadcastCmds;
-                ++counts_.netMessages;
-                CacheLine *l = caches_[i].lookup(ctx.addr, false);
-                const bool owner = l && l->dirty();
-                deliverCmd(i, owner);
-                if (!owner)
-                    continue;
-                DIR2B_ASSERT(!found, "two owners of modified block ",
-                             ctx.addr);
-                found = true;
-                ctx.data = l->value;
-                ++counts_.purges;
-                ++counts_.dataTransfers;
-                ++counts_.netMessages;
-                mem_.write(ctx.addr, ctx.data);
-                ++counts_.memWrites;
-                ++counts_.writebacks;
-                if (isRead) {
-                    l->state = LineState::Shared;
-                } else {
-                    caches_[i].invalidate(ctx.addr);
-                    ++counts_.invalidations;
-                }
-            }
-            DIR2B_ASSERT(found, "BROADQUERY(", ctx.addr,
-                         ") found no owner: directory/cache "
-                         "disagreement");
+            data = sendRemoteQuery(a, k, RW::Read);
             break;
-          }
+
+          case ActionOp::SendBroadQueryWrite:
+            data = sendRemoteQuery(a, k, RW::Write);
+            break;
 
           case ActionOp::SendInvHolders: {
             for (ProcId p = 0; p < cfg_.numProcs; ++p) {
                 if (p == k)
                     continue;
-                CacheLine *l = caches_[p].lookup(ctx.addr, false);
+                CacheLine *l = caches_[p].lookup(a, false);
                 if (!l || l->dirty())
                     continue;
                 ++counts_.directedCmds;
                 ++counts_.netMessages;
                 deliverCmd(p, true);
-                caches_[p].invalidate(ctx.addr);
+                dropLine(p, a);
                 ++counts_.invalidations;
             }
             break;
@@ -612,41 +660,41 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
 
           case ActionOp::SendPurgeRead:
           case ActionOp::SendPurgeWrite: {
-            const bool isRead = act.op == ActionOp::SendPurgeRead;
-            const ProcId owner = remoteOwner(ctx.addr, k);
-            DIR2B_ASSERT(owner != invalidProc, "PURGE(", ctx.addr,
+            const ProcId owner = remoteOwner(a, k);
+            DIR2B_ASSERT(owner != invalidProc, "PURGE(", a,
                          ") found no owner");
-            CacheLine *l = caches_[owner].lookup(ctx.addr, false);
-            DIR2B_ASSERT(l && l->dirty(), "owner of ", ctx.addr,
+            CacheLine *l = caches_[owner].lookup(a, false);
+            DIR2B_ASSERT(l && l->dirty(), "owner of ", a,
                          " has no dirty copy");
             ++counts_.directedCmds;
             ++counts_.netMessages;
             deliverCmd(owner, true);
             ++counts_.purges;
-            ctx.data = l->value;
+            data = l->value;
             ++counts_.dataTransfers;
             ++counts_.netMessages;
-            mem_.write(ctx.addr, ctx.data);
+            mem_.write(a, data);
             ++counts_.memWrites;
             ++counts_.writebacks;
-            if (isRead) {
+            if (act.op == ActionOp::SendPurgeRead) {
                 l->state = LineState::Shared;
+                onCacheChange(owner);
             } else {
-                caches_[owner].invalidate(ctx.addr);
+                dropLine(owner, a);
                 ++counts_.invalidations;
             }
             break;
           }
 
           case ActionOp::SendDowngradeOwner: {
-            const ProcId owner = remoteOwner(ctx.addr, k);
-            DIR2B_ASSERT(owner != invalidProc, "downgrade of ",
-                         ctx.addr, " found no owner");
-            CacheLine *l = caches_[owner].lookup(ctx.addr, false);
+            const ProcId owner = remoteOwner(a, k);
+            DIR2B_ASSERT(owner != invalidProc, "downgrade of ", a,
+                         " found no owner");
+            CacheLine *l = caches_[owner].lookup(a, false);
             ++counts_.directedCmds;
             ++counts_.netMessages;
             deliverCmd(owner, true);
-            ctx.data = l->value;
+            data = l->value;
             // Cache-to-cache supply: no write-back, memory stays as
             // it is — the point of the Owned state.
             ++counts_.cacheTransfers;
@@ -654,23 +702,24 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
             ++counts_.netMessages;
             l->state = l->dirty() ? LineState::Owned
                                   : LineState::Shared;
+            onCacheChange(owner);
             break;
           }
 
           case ActionOp::SendFetchInvOwner: {
-            const ProcId owner = remoteOwner(ctx.addr, k);
-            DIR2B_ASSERT(owner != invalidProc, "fetch-inv of ",
-                         ctx.addr, " found no owner");
-            CacheLine *l = caches_[owner].lookup(ctx.addr, false);
+            const ProcId owner = remoteOwner(a, k);
+            DIR2B_ASSERT(owner != invalidProc, "fetch-inv of ", a,
+                         " found no owner");
+            CacheLine *l = caches_[owner].lookup(a, false);
             ++counts_.directedCmds;
             ++counts_.netMessages;
             deliverCmd(owner, true);
             ++counts_.purges;
-            ctx.data = l->value;
+            data = l->value;
             ++counts_.cacheTransfers;
             ++counts_.dataTransfers;
             ++counts_.netMessages;
-            caches_[owner].invalidate(ctx.addr);
+            dropLine(owner, a);
             ++counts_.invalidations;
             break;
           }
@@ -680,16 +729,16 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
     if (write)
         return wval;
     if (ev == EventClass::ReadHit) {
-        DIR2B_ASSERT(ctx.line, "read hit lost its line");
-        return ctx.line->value;
+        DIR2B_ASSERT(line, "read hit lost its line");
+        return line->value;
     }
-    return ctx.data;
+    return data;
 }
 
 void
 TableProtocol::flushCache(ProcId p)
 {
-    DIR2B_ASSERT(table_.handlesEvict(), "table '", table_.name,
+    DIR2B_ASSERT(table_->handlesEvict(), "table '", table_->name,
                  "' has no eviction rows: flush unsupported");
     // Collect first: eviction mutates the array under iteration.
     std::vector<CacheLine> lines;
@@ -717,18 +766,18 @@ TableProtocol::checkInvariants() const
     for (const auto &[a, hm] : seen) {
         const auto [holders, modified] = hm;
         const std::uint8_t st = dirStateOf(a);
-        DIR2B_ASSERT(st < table_.stateNames.size(),
+        DIR2B_ASSERT(st < table_->stateNames.size(),
                      "block ", a, " has directory state ",
                      static_cast<unsigned>(st), " outside table '",
-                     table_.name, "'");
-        const StateConstraint &c = table_.constraints[st];
+                     table_->name, "'");
+        const StateConstraint &c = table_->constraints[st];
         DIR2B_ASSERT(holders >= c.minHolders &&
                          holders <= c.maxHolders,
-                     "block ", a, " is ", stateName(table_, st),
+                     "block ", a, " is ", stateName(*table_, st),
                      " but has ", holders, " holder(s)");
         DIR2B_ASSERT(modified >= c.minModified &&
                          modified <= c.maxModified,
-                     "block ", a, " is ", stateName(table_, st),
+                     "block ", a, " is ", stateName(*table_, st),
                      " but has ", modified, " modified cop(y/ies)");
     }
 }

@@ -2,39 +2,45 @@
  * @file
  * Table-driven coherence protocol interpreter.
  *
- * ROADMAP item 1: protocols as data, not code.  A TransitionTable is a
- * list of rows (state, event class, guard) -> (ordered action list,
- * next state) over a fixed action vocabulary, in the style of
- * BlackParrot's BedRock microcode engine (arXiv:2211.06390) and the
- * Guarded Action Language coherence models (arXiv:1803.10323).  The
- * TableProtocol interpreter executes any validated table as a
- * functional-tier Protocol, so a new scheme is a new table — the
- * exhaustive explorer can enumerate its rows directly, the
- * differential fuzzer gets cross-interpreter lockstep for free, and
- * the §4.2 command accounting comes from the shared action
- * implementations instead of per-scheme bespoke code.
+ * Protocols as data, not code.  A TransitionTable is a list of rows
+ * (state, event class, guard) -> (ordered action list, next state)
+ * over a fixed action vocabulary, in the style of BlackParrot's
+ * BedRock microcode engine (arXiv:2211.06390) and the Guarded Action
+ * Language coherence models (arXiv:1803.10323).  TableProtocol is the
+ * only interpreter of the paper's two-bit scheme and of the full map:
+ * "two_bit" and "full_map" run their tables, the exhaustive explorer
+ * enumerates the rows directly, and the §4.2 command accounting comes
+ * from the shared action implementations instead of per-scheme code.
  *
  * The table's state is the per-block directory state, stored in the
- * same TwoBitDirectory tiered store as the paper's scheme (at most
- * four states, the economy constraint of the title); holder sets and
- * owners are derived from the cache arrays, which is the functional
- * tier's model of whatever presence bits the scheme would keep in
- * hardware (dirBitsFixed/dirBitsPerProc report the true cost).
+ * TwoBitDirectory tiered store (at most four states, the economy
+ * constraint of the title); holder sets and owners are derived from
+ * the cache arrays, which is the functional tier's model of whatever
+ * presence bits the scheme would keep in hardware
+ * (dirBitsFixed/dirBitsPerProc report the true cost).
  *
- * Bit-identity contract: the tables in proto/table_defs.cc reproduce
- * the hand-written two_bit and full_map schemes *exactly* — every
- * counter bump, every deliverCmd, every replacement-policy touch in
- * the same order — which the lockstep differ (check/differ.hh)
- * enforces access by access.
+ * Hit rows may be declared for any state ("*"): such an event is
+ * answered without reading the directory, as in the paper, where a
+ * hit never consults the home controller.  A shipped table is
+ * validated and compiled into its dispatch index once (CompiledTable,
+ * in its static accessor); every TableProtocol borrows it.  Variants
+ * of a scheme (translation buffer, duplicated directories) subclass
+ * TableProtocol and override its command and observation hooks.  The
+ * pinned functional digests (tests/test_table_golden.cc) freeze the
+ * behaviour, counter for counter.
  */
 
 #ifndef DIR2B_PROTO_TABLE_ENGINE_HH
 #define DIR2B_PROTO_TABLE_ENGINE_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "cache/snoop_filter.hh"
+#include "net/message.hh"
 #include "proto/protocol.hh"
 
 namespace dir2b
@@ -147,10 +153,17 @@ struct TableAction
     std::uint8_t arg = 0;
 };
 
+/** TableRow::state (and next) of a row that fires in every directory
+ *  state: its event is answered without reading the directory.  Such
+ *  a row writes no directory state, and an event class has either
+ *  any-state rows or per-state rows, never both (validated). */
+constexpr std::uint8_t anyState = 0xff;
+
 /** One transition row. */
 struct TableRow
 {
-    /** Directory state this row fires in (index into stateNames). */
+    /** Directory state this row fires in (index into stateNames), or
+     *  anyState. */
     std::uint8_t state = 0;
     EventClass event = EventClass::ReadHit;
     TableGuard guard = TableGuard::Always;
@@ -198,8 +211,70 @@ struct TransitionTable
     bool handlesEvict() const;
 };
 
+/**
+ * A validated TransitionTable plus its dense (state x event-class)
+ * dispatch index.  Built once per shipped table (its static accessor)
+ * and borrowed by every TableProtocol that runs it.
+ */
+class CompiledTable : public TransitionTable
+{
+  public:
+    /** Fatals (with every validation message) on an invalid table. */
+    explicit CompiledTable(TransitionTable table);
+
+    /** Whether `ev` is answered by any-state rows, i.e. without
+     *  reading the directory. */
+    bool
+    anyStateEvent(EventClass ev) const
+    {
+        return anyState_[static_cast<std::size_t>(ev)];
+    }
+
+    /** Candidate row ids for (state, ev) in declaration order; the
+     *  state is ignored for an any-state event. */
+    std::pair<const std::uint16_t *, const std::uint16_t *>
+    candidates(std::uint8_t state, EventClass ev) const
+    {
+        const auto e = static_cast<std::size_t>(ev);
+        const Slot s =
+            slots_[(anyState_[e] ? 0 : std::size_t{state}) *
+                       numEventClasses + e];
+        const std::uint16_t *first = slotRows_.data() + s.off;
+        return {first, first + s.len};
+    }
+
+    /** The row that answers an event without reading the directory
+     *  or evaluating a guard: an any-state event whose first row is
+     *  Always. */
+    struct DirectRow
+    {
+        /** Row id, or -1 when the event needs a full dispatch. */
+        int id = -1;
+        /** The row has no actions (a read hit returns the line). */
+        bool actionless = false;
+    };
+
+    DirectRow
+    directRow(EventClass ev) const
+    {
+        return direct_[static_cast<std::size_t>(ev)];
+    }
+
+  private:
+    struct Slot
+    {
+        std::uint32_t off = 0;
+        std::uint32_t len = 0;
+    };
+
+    std::vector<Slot> slots_;
+    std::vector<std::uint16_t> slotRows_;
+    bool anyState_[numEventClasses] = {};
+    DirectRow direct_[numEventClasses];
+};
+
 /** Render row `i` of `t` as "(state, event, guard) -> next" for
- *  diagnostics and coverage reports. */
+ *  diagnostics and coverage reports ("*" for anyState). */
 std::string describeRow(const TransitionTable &t, std::size_t i);
 
 std::string toString(EventClass e);
@@ -207,23 +282,30 @@ std::string toString(TableGuard g);
 std::string toString(ActionOp op);
 
 /**
- * The interpreter: executes any validated TransitionTable as a
- * functional-tier Protocol.  Directory state lives in per-module
- * TwoBitDirectory tiered stores, so table-driven schemes compose with
+ * The interpreter: executes a validated table as a functional-tier
+ * Protocol.  Directory state lives in per-module TwoBitDirectory
+ * tiered stores, so table-driven schemes compose with
  * --dir-ram-budget and report dirStoreCounters() with zero
  * scheme-specific code.
  */
 class TableProtocol : public Protocol
 {
   public:
-    /** Fatals (with every validation message) on an invalid table. */
+    /** Run a compiled (shipped) table, borrowed for the lifetime of
+     *  this protocol, registered under `name` (the table's own name
+     *  when empty). */
+    TableProtocol(const CompiledTable &table, const ProtoConfig &cfg,
+                  const std::string &name = {});
+
+    /** Run a custom table: validated and compiled for this instance;
+     *  fatals (with every validation message) on an invalid table. */
     TableProtocol(const TransitionTable &table, const ProtoConfig &cfg);
 
     unsigned
     directoryBitsPerBlock() const override
     {
-        return table_.dirBitsFixed +
-               table_.dirBitsPerProc * cfg_.numProcs;
+        return table_->dirBitsFixed +
+               table_->dirBitsPerProc * cfg_.numProcs;
     }
 
     DirStoreCounters dirStoreCounters() const override;
@@ -235,7 +317,11 @@ class TableProtocol : public Protocol
     /** Executable whenever the table has eviction rows: each valid
      *  line is ejected through the same rows replacement uses. */
     void flushCache(ProcId p) override;
-    bool supportsFlush() const override { return table_.handlesEvict(); }
+    bool
+    supportsFlush() const override
+    {
+        return table_->handlesEvict();
+    }
 
     /** Directory state of block a (index into table().stateNames). */
     std::uint8_t
@@ -244,7 +330,7 @@ class TableProtocol : public Protocol
         return static_cast<std::uint8_t>(dirFor(a).get(a));
     }
 
-    const TransitionTable &table() const { return table_; }
+    const TransitionTable &table() const { return *table_; }
 
     /** Fire count per table row (row coverage; the explorer unions
      *  these to report unreachable rows). */
@@ -253,6 +339,33 @@ class TableProtocol : public Protocol
   protected:
     Value doAccess(ProcId k, Addr a, bool write, Value wval) override;
 
+    /** SendBroadInv.  BROADINV(a,except): deliveries to the n-1
+     *  other caches, every (clean) copy found is invalidated; useless
+     *  deliveries counted. */
+    virtual void sendRemoteInvalidate(Addr a, ProcId except);
+
+    /**
+     * SendBroadQuery{Read,Write}.  BROADQUERY(a,rw): deliveries to the
+     * n-1 caches other than the requester; the owner puts its dirty
+     * data, which is written back; rw selects downgrade (read) vs
+     * invalidate (write).
+     * @return the owner's data.
+     */
+    virtual Value sendRemoteQuery(Addr a, ProcId requester, RW rw);
+
+    /** Fires after every row that read the directory (misses, clean
+     *  write hits, evictions), with the state before and after it. */
+    virtual void
+    noteRow(ProcId, Addr, EventClass, std::uint8_t, std::uint8_t)
+    {}
+
+    /** Fires when cache p gained, lost or re-stated a line. */
+    virtual void onCacheChange(ProcId) {}
+
+    /** Invalidate block a in cache p, keeping the duplicate tag
+     *  directory in sync.  @return true if a copy was dropped. */
+    bool dropLine(ProcId p, Addr a);
+
   private:
     TwoBitDirectory &dirFor(Addr a) { return dirs_[addrMap_.home(a)]; }
     const TwoBitDirectory &
@@ -260,6 +373,15 @@ class TableProtocol : public Protocol
     {
         return dirs_[addrMap_.home(a)];
     }
+
+    /** Fill cache k with block a, keeping the duplicate tag directory
+     *  (snoop filter) of §4.4 enhancement (a) in sync. */
+    CacheLine &fillLine(ProcId k, Addr a, LineState st, Value v);
+
+    /** Whether a broadcast delivery at cache i costs a cycle: with the
+     *  duplicate directory enabled, only checks that find the block
+     *  forward to the cache proper. */
+    bool snoopSteals(ProcId i, Addr a);
 
     /** Holders of `a` other than `k` (ascending ProcId). */
     std::size_t otherHolders(Addr a, ProcId k) const;
@@ -271,39 +393,25 @@ class TableProtocol : public Protocol
     const TableRow *findRow(std::uint8_t state, EventClass ev, Addr a,
                             ProcId k) const;
 
-    /** Classify a LOAD/STORE by `k` against its cache (touches
-     *  replacement state exactly like the hand-written schemes). */
-    EventClass classify(ProcId k, Addr a, bool write, CacheLine *&line);
-
     /** Dispatch one event; returns the transaction's result value. */
     Value dispatch(ProcId k, Addr a, bool write, Value wval,
                    EventClass ev, CacheLine *line);
 
+    /** Run `row`'s actions; returns the transaction's result value.
+     *  `line` is the requester's line (hits) or the victim. */
+    Value execute(const TableRow &row, ProcId k, Addr a, bool write,
+                  Value wval, EventClass ev, CacheLine *line);
+
     /** Run the eviction rows for a valid victim line. */
     void evictLine(ProcId k, CacheLine &victim);
 
-    std::size_t
-    slotIndex(std::uint8_t state, EventClass ev) const
-    {
-        return std::size_t{state} * numEventClasses +
-               static_cast<std::size_t>(ev);
-    }
-
-    /** One (state, event-class) slot of the dispatch index: a span of
-     *  candidate row ids in dispatchRows_, declaration-ordered. */
-    struct DispatchSlot
-    {
-        std::uint32_t off = 0;
-        std::uint32_t len = 0;
-    };
-
-    TransitionTable table_;
+    /** Set only when this instance compiled a custom table. */
+    std::unique_ptr<const CompiledTable> owned_;
+    const CompiledTable *table_;
     std::vector<TwoBitDirectory> dirs_;
+    /** Duplicate-directory mirrors (empty when disabled). */
+    std::vector<SnoopFilter> snoops_;
     std::vector<std::uint64_t> rowHits_;
-    /** Dense (state x event-class) first-row index, compiled at
-     *  registration from the validated table. */
-    std::vector<DispatchSlot> dispatchSlots_;
-    std::vector<std::uint16_t> dispatchRows_;
 };
 
 } // namespace dir2b

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
-#include "proto/full_map.hh"
 #include "proto/full_map_local.hh"
+#include "proto/protocol_factory.hh"
+#include "proto/table_engine.hh"
+#include "util/bitset.hh"
 
 namespace dir2b
 {
@@ -26,108 +28,133 @@ config(ProcId n = 4, std::size_t sets = 64, std::size_t ways = 4)
     return cfg;
 }
 
+/** The full map as the factory builds it (the table engine). */
+std::unique_ptr<TableProtocol>
+makeFullMap(const ProtoConfig &cfg)
+{
+    return std::unique_ptr<TableProtocol>(&dynamic_cast<TableProtocol &>(
+        *makeProtocol("full_map", cfg).release()));
+}
+
+/** The n+1 bits of block a: the engine keeps the presence bits in the
+ *  cache arrays and the modified bit as the Modified directory state. */
+struct FullMapEntry
+{
+    DynBitset present;
+    bool modified = false;
+};
+
+FullMapEntry
+entryOf(const TableProtocol &p, Addr a)
+{
+    FullMapEntry e{DynBitset(p.numProcs())};
+    for (ProcId i = 0; i < p.numProcs(); ++i) {
+        const CacheLine *l = p.cache(i).peek(a);
+        if (l && l->valid())
+            e.present.set(i);
+    }
+    e.modified = p.table().stateNames[p.dirStateOf(a)] == "Modified";
+    return e;
+}
+
 TEST(FullMap, PresenceBitsTrackReaders)
 {
-    FullMapProtocol p(config());
+    auto p = makeFullMap(config());
     const Addr a = 100;
-    p.access(0, a, false);
-    p.access(2, a, false);
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_TRUE(e->present.test(0));
-    EXPECT_FALSE(e->present.test(1));
-    EXPECT_TRUE(e->present.test(2));
-    EXPECT_FALSE(e->modified);
+    p->access(0, a, false);
+    p->access(2, a, false);
+    const FullMapEntry e = entryOf(*p, a);
+    EXPECT_TRUE(e.present.test(0));
+    EXPECT_FALSE(e.present.test(1));
+    EXPECT_TRUE(e.present.test(2));
+    EXPECT_FALSE(e.modified);
 }
 
 TEST(FullMap, WriteMissSendsExactlyHolderCountInvalidations)
 {
-    FullMapProtocol p(config(8));
+    auto p = makeFullMap(config(8));
     const Addr a = 5;
-    p.access(0, a, false);
-    p.access(1, a, false);
-    p.access(2, a, false);
-    p.access(7, a, true, 1);
+    p->access(0, a, false);
+    p->access(1, a, false);
+    p->access(2, a, false);
+    p->access(7, a, true, 1);
 
-    const AccessCounts &d = p.lastDelta();
+    const AccessCounts &d = p->lastDelta();
     EXPECT_EQ(d.directedCmds, 3u);
     EXPECT_EQ(d.invalidations, 3u);
     EXPECT_EQ(d.broadcasts, 0u);
     EXPECT_EQ(d.uselessCmds, 0u);
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->present.count(), 1u);
-    EXPECT_TRUE(e->present.test(7));
-    EXPECT_TRUE(e->modified);
+    const FullMapEntry e = entryOf(*p, a);
+    EXPECT_EQ(e.present.count(), 1u);
+    EXPECT_TRUE(e.present.test(7));
+    EXPECT_TRUE(e.modified);
 }
 
 TEST(FullMap, ReadMissOnModifiedPurgesExactlyOwner)
 {
-    FullMapProtocol p(config(8));
+    auto p = makeFullMap(config(8));
     const Addr a = 6;
-    p.access(3, a, true, 42);
-    p.access(5, a, false);
+    p->access(3, a, true, 42);
+    p->access(5, a, false);
 
-    const AccessCounts &d = p.lastDelta();
+    const AccessCounts &d = p->lastDelta();
     EXPECT_EQ(d.directedCmds, 1u);
     EXPECT_EQ(d.purges, 1u);
     EXPECT_EQ(d.writebacks, 1u);
     EXPECT_EQ(d.uselessCmds, 0u);
-    EXPECT_EQ(p.access(5, a, false), 42u);
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_EQ(e->present.count(), 2u);
-    EXPECT_FALSE(e->modified);
+    EXPECT_EQ(p->access(5, a, false), 42u);
+    const FullMapEntry e = entryOf(*p, a);
+    EXPECT_EQ(e.present.count(), 2u);
+    EXPECT_FALSE(e.modified);
 }
 
 TEST(FullMap, WriteHitWithSoleCopyNeedsNoInvalidation)
 {
-    FullMapProtocol p(config());
+    auto p = makeFullMap(config());
     const Addr a = 7;
-    p.access(0, a, false);
-    p.access(0, a, true, 9);
-    EXPECT_EQ(p.lastDelta().directedCmds, 0u);
-    EXPECT_EQ(p.lastDelta().invalidations, 0u);
-    EXPECT_TRUE(p.entry(a)->modified);
+    p->access(0, a, false);
+    p->access(0, a, true, 9);
+    EXPECT_EQ(p->lastDelta().directedCmds, 0u);
+    EXPECT_EQ(p->lastDelta().invalidations, 0u);
+    EXPECT_TRUE(entryOf(*p, a).modified);
 }
 
 TEST(FullMap, CleanEjectClearsPresenceBitExactly)
 {
-    FullMapProtocol p(config(4, 1, 1));
+    auto p = makeFullMap(config(4, 1, 1));
     const Addr a = 20;
     const Addr b = 21;
-    p.access(0, a, false);
-    p.access(1, a, false);
-    p.access(0, b, false); // cache 0 ejects a
-    const FullMapEntry *e = p.entry(a);
-    ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->present.test(0));
-    EXPECT_TRUE(e->present.test(1));
+    p->access(0, a, false);
+    p->access(1, a, false);
+    p->access(0, b, false); // cache 0 ejects a
+    const FullMapEntry e = entryOf(*p, a);
+    EXPECT_FALSE(e.present.test(0));
+    EXPECT_TRUE(e.present.test(1));
     // Unlike the two-bit map, a later write sends exactly one command.
-    p.access(2, a, true, 1);
-    EXPECT_EQ(p.lastDelta().directedCmds, 1u);
-    EXPECT_EQ(p.lastDelta().uselessCmds, 0u);
+    p->access(2, a, true, 1);
+    EXPECT_EQ(p->lastDelta().directedCmds, 1u);
+    EXPECT_EQ(p->lastDelta().uselessCmds, 0u);
 }
 
 TEST(FullMap, NeverAnyUselessCommand)
 {
-    FullMapProtocol p(config(4, 2, 2));
+    auto p = makeFullMap(config(4, 2, 2));
     // A busy mixed sequence with evictions and ownership migration.
     for (int i = 0; i < 500; ++i) {
         const auto proc = static_cast<ProcId>(i % 4);
         const Addr a = static_cast<Addr>(i % 12);
-        p.access(proc, a, i % 3 == 0, 10000u + i);
-        p.checkInvariants();
+        p->access(proc, a, i % 3 == 0, 10000u + i);
+        p->checkInvariants();
     }
-    EXPECT_EQ(p.counts().uselessCmds, 0u);
-    EXPECT_EQ(p.counts().broadcasts, 0u);
+    EXPECT_EQ(p->counts().uselessCmds, 0u);
+    EXPECT_EQ(p->counts().broadcasts, 0u);
 }
 
 TEST(FullMap, DirectoryCostGrowsWithN)
 {
-    EXPECT_EQ(FullMapProtocol(config(4)).directoryBitsPerBlock(), 5u);
-    EXPECT_EQ(FullMapProtocol(config(16)).directoryBitsPerBlock(), 17u);
-    EXPECT_EQ(FullMapProtocol(config(64)).directoryBitsPerBlock(), 65u);
+    EXPECT_EQ(makeFullMap(config(4))->directoryBitsPerBlock(), 5u);
+    EXPECT_EQ(makeFullMap(config(16))->directoryBitsPerBlock(), 17u);
+    EXPECT_EQ(makeFullMap(config(64))->directoryBitsPerBlock(), 65u);
 }
 
 TEST(FullMapLocal, FirstReaderGetsExclusiveCleanCopy)

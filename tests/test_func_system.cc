@@ -9,7 +9,6 @@
 
 #include <memory>
 
-#include "core/two_bit_protocol.hh"
 #include "proto/protocol_factory.hh"
 #include "system/func_system.hh"
 #include "trace/synthetic.hh"
@@ -164,14 +163,14 @@ TEST(FuncSystem, OracleCatchesInjectedCorruption)
     // protocol's back and verify the next read trips the oracle.
     // (Achieved by replaying a mismatched trace against a *different*
     // protocol instance whose writes differ — the oracle must reject.)
-    TwoBitProtocol proto(config());
+    auto proto = makeProtocol("two_bit", config());
     CoherenceOracle oracle;
     const Value v1 = oracle.freshValue();
-    proto.access(0, 5, true, v1);
+    proto->access(0, 5, true, v1);
     oracle.onWrite(5, v1);
     // A second write the oracle does not see:
-    proto.access(1, 5, true, oracle.freshValue());
-    EXPECT_DEATH(oracle.onRead(5, proto.access(2, 5, false)),
+    proto->access(1, 5, true, oracle.freshValue());
+    EXPECT_DEATH(oracle.onRead(5, proto->access(2, 5, false)),
                  "coherence violation");
 }
 

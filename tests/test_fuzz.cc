@@ -23,8 +23,8 @@
 
 #include "check/differ.hh"
 #include "check/shrink.hh"
-#include "core/two_bit_protocol.hh"
 #include "proto/protocol_factory.hh"
+#include "proto/table_defs.hh"
 
 namespace dir2b
 {
@@ -96,11 +96,11 @@ TEST(Fuzz, TracesAreDeterministicPerIndex)
  * never trips the scheme's own internal assertions, so the failure
  * always comes back as data.
  */
-class LossyQueryTwoBit : public TwoBitProtocol
+class LossyQueryTwoBit : public TableProtocol
 {
   public:
     explicit LossyQueryTwoBit(const ProtoConfig &cfg)
-        : TwoBitProtocol("two_bit", cfg)
+        : TableProtocol(twoBitTable(), cfg, "two_bit")
     {}
 
   protected:
@@ -108,7 +108,7 @@ class LossyQueryTwoBit : public TwoBitProtocol
     sendRemoteQuery(Addr a, ProcId requester, RW rw) override
     {
         const Value v =
-            TwoBitProtocol::sendRemoteQuery(a, requester, rw);
+            TableProtocol::sendRemoteQuery(a, requester, rw);
         // Reads get a corrupted word; write misses overwrite the
         // whole block anyway, so only the read path misbehaves.
         return rw == RW::Read ? v ^ 0x1 : v;

@@ -224,7 +224,7 @@ TEST(ModelCheck, TableProtocolsHaveNoUnreachableRows)
 
 TEST(ModelCheck, HandWrittenProtocolsReportNoRowCoverage)
 {
-    const ExploreResult r = explore(cell("two_bit", 1));
+    const ExploreResult r = explore(cell("full_map_local", 1));
     EXPECT_EQ(r.totalRows, 0u);
     EXPECT_TRUE(r.rowsFired.empty());
     EXPECT_TRUE(r.unreachableRows.empty());

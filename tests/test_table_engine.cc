@@ -1,9 +1,10 @@
 /**
  * @file
  * Unit suite for the table-driven protocol engine (proto/table_engine):
- * table validation (row-numbered rejection messages), first-match guard
- * evaluation order, dispatch independence from row order across
- * (state, event) groups, and the metadata the rest of
+ * table validation (row-numbered rejection messages, any-state rows),
+ * first-match guard evaluation order, dispatch independence from row
+ * order across (state, event) groups, hits that never read the
+ * directory, and the metadata the rest of
  * the system derives from tables (flush support, directory cost,
  * directory store counters).
  */
@@ -95,15 +96,23 @@ rejectsWith(const TransitionTable &t, const std::string &a,
 TEST(TableValidate, ShippedTablesAreValid)
 {
     EXPECT_TRUE(twoBitTable().validate().empty());
+    EXPECT_TRUE(twoBitNoPresent1Table().validate().empty());
     EXPECT_TRUE(fullMapTable().validate().empty());
     EXPECT_TRUE(moesiTable().validate().empty());
 }
 
 TEST(TableValidate, ShippedTableShapes)
 {
-    EXPECT_EQ(twoBitTable().rows.size(), 17u);
-    EXPECT_EQ(fullMapTable().rows.size(), 13u);
-    EXPECT_EQ(moesiTable().rows.size(), 26u);
+    // Hit rows are any-state rows: one ReadHit row per table, and one
+    // WriteHitDirty row where every state handles it alike.
+    EXPECT_EQ(twoBitTable().rows.size(), 15u);
+    EXPECT_EQ(twoBitNoPresent1Table().rows.size(), 11u);
+    EXPECT_EQ(fullMapTable().rows.size(), 12u);
+    EXPECT_EQ(moesiTable().rows.size(), 24u);
+    EXPECT_TRUE(twoBitTable().anyStateEvent(EventClass::ReadHit));
+    EXPECT_TRUE(twoBitTable().anyStateEvent(EventClass::WriteHitDirty));
+    EXPECT_FALSE(twoBitTable().anyStateEvent(EventClass::WriteHitClean));
+    EXPECT_FALSE(moesiTable().anyStateEvent(EventClass::WriteHitDirty));
     EXPECT_TRUE(twoBitTable().handlesEvict());
     EXPECT_TRUE(moesiTable().handlesEvict());
 }
@@ -177,6 +186,42 @@ TEST(TableValidate, NextStateMustMatchDirectoryEffect)
         rejectsWith(v, "declares next state 'A'", "writes 'B'"));
 }
 
+/** tinyTable() with its hit rows declared for any state. */
+TransitionTable
+anyStateTinyTable()
+{
+    TransitionTable t = tinyTable();
+    for (std::size_t i : {0u, 1u}) {
+        t.rows[i].state = anyState;
+        t.rows[i].next = anyState;
+    }
+    return t;
+}
+
+TEST(TableValidate, AnyStateRowsAccepted)
+{
+    EXPECT_TRUE(anyStateTinyTable().validate().empty());
+    EXPECT_EQ(describeRow(anyStateTinyTable(), 0),
+              "(*, ReadHit, Always) -> *");
+}
+
+TEST(TableValidate, AnyStateRowMayNotWriteTheDirectory)
+{
+    TransitionTable t = anyStateTinyTable();
+    t.rows[1].actions.push_back(act(ActionOp::SetDirState, 0));
+    t.rows[1].next = 0;
+    EXPECT_TRUE(rejectsWith(t, "row 1", "cannot write the directory"));
+}
+
+TEST(TableValidate, EventMixingAnyStateAndPerStateRowsRejected)
+{
+    TransitionTable t = anyStateTinyTable();
+    t.rows.push_back({0, EventClass::ReadHit,
+                      TableGuard::OtherHoldersNone, {}, 0});
+    EXPECT_TRUE(
+        rejectsWith(t, "row 7", "mixes any-state and per-state rows"));
+}
+
 TEST(TableValidate, StateCountAndConstraintArityChecked)
 {
     TransitionTable t = tinyTable();
@@ -194,6 +239,26 @@ TEST(TableProtocolDeath, ConstructingFromInvalidTableFatals)
     TransitionTable t = tinyTable();
     t.rows.push_back(t.rows[0]);
     EXPECT_DEATH(TableProtocol(t, smallConfig()), "duplicate of row");
+}
+
+TEST(TableProtocolDeath, AnyStateRowWritingTheDirectoryFatals)
+{
+    TransitionTable t = anyStateTinyTable();
+    t.rows[0].actions = {act(ActionOp::SetDirState, 0)};
+    t.rows[0].next = 0;
+    EXPECT_DEATH(TableProtocol(t, smallConfig()),
+                 "cannot write the directory");
+}
+
+TEST(TableProtocolDeath, MixedAnyStateAndPerStateRowsFatal)
+{
+    TransitionTable t = anyStateTinyTable();
+    t.rows[1].state = 0;
+    t.rows[1].next = 0;
+    t.rows.push_back({anyState, EventClass::WriteHitDirty,
+                      TableGuard::OtherHoldersNone, {}, anyState});
+    EXPECT_DEATH(TableProtocol(t, smallConfig()),
+                 "mixes any-state and per-state rows");
 }
 
 TEST(TableProtocolDeath, MissingRowFatalsWithIncompleteTable)
@@ -258,6 +323,30 @@ TEST(TableMetadata, DirectoryCostComesFromTableBits)
         17u);
     EXPECT_EQ(TableProtocol(moesiTable(), pc).directoryBitsPerBlock(),
               18u);
+}
+
+TEST(TableDispatch, HitsDoNotReadTheDirectory)
+{
+    // Under a tiny RAM budget a directory page nobody touches goes
+    // cold; reading it again decompresses it.  Hits on a cold block
+    // must not, because any-state rows never consult the directory.
+    ProtoConfig pc = smallConfig();
+    pc.dirRamBudget = 2048;
+    TableProtocol proto(twoBitTable(), pc);
+    const Addr a = 0;
+    proto.access(0, a, true, 5);
+    for (Addr b = 1; b < 2048; ++b)
+        proto.access(1, b << 16, false); // sweep other pages
+    const std::uint64_t cold = proto.dirStoreCounters().decompressions;
+
+    EXPECT_EQ(proto.access(0, a, false), 5u); // ReadHit
+    proto.access(0, a, true, 6);              // WriteHitDirty
+    EXPECT_EQ(proto.dirStoreCounters().decompressions, cold);
+
+    // Control: a miss on the same block does read its page.
+    EXPECT_EQ(proto.access(1, a, false), 6u);
+    EXPECT_GT(proto.dirStoreCounters().decompressions, cold);
+    proto.checkInvariants();
 }
 
 TEST(TableMetadata, DirStoreCountersComposeWithRamBudget)
@@ -374,14 +463,16 @@ TEST(TableFactory, TableProtocolsAreRegistered)
                   names.end())
             << want << " missing from protocolNames()";
     }
-    // The fuzz tier assumes the hand-written reference stays first.
+    // The fuzz tier assumes the paper's scheme stays first.
     EXPECT_EQ(names.front(), "two_bit");
 }
 
 TEST(TableFactory, DescribeRowReadsLikeTheDocs)
 {
     EXPECT_EQ(describeRow(twoBitTable(), 0),
-              "(Present1, ReadHit, Always) -> Present1");
+              "(*, ReadHit, Always) -> *");
+    EXPECT_EQ(describeRow(twoBitTable(), 2),
+              "(Present1, WriteHitClean, Always) -> PresentM");
 }
 
 } // namespace

@@ -99,8 +99,9 @@ TEST(TieredStore, BudgetBoundsResidentBytes)
     std::mt19937_64 rng(7);
     for (int i = 0; i < 5000; ++i)
         store.ref(rng() % (1 << 14)) = rng();
-    if (store.stats().diskUnavailable == 0)
+    if (store.stats().diskUnavailable == 0) {
         EXPECT_LE(store.residentBytes(), budget);
+    }
     EXPECT_EQ(store.hotPages() + store.coldPages() + store.diskPages(),
               store.pageCount());
 }
@@ -221,8 +222,9 @@ TEST(TwoBitDirectoryTiered, HugeSparseSpaceStaysWithinBudget)
         dir.set(a, GlobalState::Present1);
         touched.push_back(a);
     }
-    if (dir.storeStats().diskUnavailable == 0)
+    if (dir.storeStats().diskUnavailable == 0) {
         EXPECT_LE(dir.residentBytes(), 64u * 1024u);
+    }
     for (const Addr a : touched)
         EXPECT_EQ(dir.get(a), GlobalState::Present1);
 }

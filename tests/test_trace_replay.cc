@@ -10,7 +10,7 @@
  * TraceProcSource, and all seven
  * checked-in digests must come out unchanged.  Functional tier: the
  * fixed contended trace behind the pinned table-engine digests in
- * test_table_lockstep.cc is recorded and replayed per-record and
+ * test_table_golden.cc is recorded and replayed per-record and
  * batched; same constants.  Finally runFunctional over the mmap
  * stream and runFunctionalBatched over block spans must agree on
  * every statistic for the same trace.
@@ -215,7 +215,7 @@ TEST(TraceReplay, TimedReplayMatchesAllGoldenDigests)
 
 // -------------------------------------------- functional-tier replay
 
-/** The fixed contended trace behind test_table_lockstep.cc's pinned
+/** The fixed contended trace behind test_table_golden.cc's pinned
  *  functional digests. */
 std::vector<MemRef>
 tableGoldenTrace(FuzzConfig &fc)
@@ -226,7 +226,7 @@ tableGoldenTrace(FuzzConfig &fc)
     return fuzzTrace(fc, 0);
 }
 
-/** digestProtocol from test_table_lockstep.cc, with the access loop
+/** digestProtocol from test_table_golden.cc, with the access loop
  *  fed by `emit` instead of a vector walk. */
 template <typename EmitRefs>
 std::uint64_t
@@ -275,7 +275,7 @@ struct TableGoldenCase
     std::uint64_t digest;
 };
 
-// The same constants test_table_lockstep.cc pins.
+// The same constants test_table_golden.cc pins.
 const TableGoldenCase tableGoldenCases[] = {
     {"two_bit_table", 0xfeb02f0eedaad5cdULL},
     {"full_map_table", 0x694edcae1778aa2cULL},

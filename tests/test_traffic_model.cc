@@ -8,10 +8,9 @@
 
 #include <cmath>
 
-#include "core/two_bit_protocol.hh"
 #include "model/traffic_model.hh"
-#include "proto/full_map.hh"
 #include "proto/protocol_factory.hh"
+#include "proto/table_engine.hh"
 #include "trace/reference.hh"
 
 namespace dir2b
@@ -104,44 +103,59 @@ config()
     return cfg;
 }
 
+/** A table-driven scheme as the factory builds it. */
+std::unique_ptr<TableProtocol>
+makeTable(const std::string &name)
+{
+    return std::unique_ptr<TableProtocol>(&dynamic_cast<TableProtocol &>(
+        *makeProtocol(name, config()).release()));
+}
+
+/** The §3.1 global state of block a (the two-bit table's state index
+ *  is the GlobalState value). */
+GlobalState
+globalState(const TableProtocol &p, Addr a)
+{
+    return static_cast<GlobalState>(p.dirStateOf(a));
+}
+
 TEST(FlushCache, TwoBitWritesBackAndReclaims)
 {
-    TwoBitProtocol p(config());
-    p.access(0, 1, true, 11);  // dirty
-    p.access(0, 2, false);     // clean, Present1
-    p.access(0, 3, false);
-    p.access(1, 3, false);     // Present*, two holders
+    auto p = makeTable("two_bit");
+    p->access(0, 1, true, 11);  // dirty
+    p->access(0, 2, false);     // clean, Present1
+    p->access(0, 3, false);
+    p->access(1, 3, false);     // Present*, two holders
 
-    p.flushCache(0);
+    p->flushCache(0);
 
-    EXPECT_EQ(p.cache(0).validCount(), 0u);
-    EXPECT_EQ(p.memValue(1), 11u);
-    EXPECT_EQ(p.globalState(1), GlobalState::Absent);
-    EXPECT_EQ(p.globalState(2), GlobalState::Absent);
+    EXPECT_EQ(p->cache(0).validCount(), 0u);
+    EXPECT_EQ(p->memValue(1), 11u);
+    EXPECT_EQ(globalState(*p, 1), GlobalState::Absent);
+    EXPECT_EQ(globalState(*p, 2), GlobalState::Absent);
     // Block 3 still held by cache 1: Present* (cannot count down).
-    EXPECT_EQ(p.globalState(3), GlobalState::PresentStar);
-    p.checkInvariants();
+    EXPECT_EQ(globalState(*p, 3), GlobalState::PresentStar);
+    p->checkInvariants();
 
     // Post-flush accesses behave like a cold cache.
-    EXPECT_EQ(p.access(0, 1, false), 11u);
+    EXPECT_EQ(p->access(0, 1, false), 11u);
 }
 
 TEST(FlushCache, FullMapClearsExactBits)
 {
-    FullMapProtocol p(config());
-    p.access(0, 1, true, 7);
-    p.access(0, 2, false);
-    p.access(2, 2, false);
+    auto p = makeTable("full_map");
+    p->access(0, 1, true, 7);
+    p->access(0, 2, false);
+    p->access(2, 2, false);
 
-    p.flushCache(0);
+    p->flushCache(0);
 
-    EXPECT_EQ(p.cache(0).validCount(), 0u);
-    EXPECT_EQ(p.memValue(1), 7u);
-    const FullMapEntry *e = p.entry(2);
-    ASSERT_NE(e, nullptr);
-    EXPECT_FALSE(e->present.test(0));
-    EXPECT_TRUE(e->present.test(2));
-    p.checkInvariants();
+    EXPECT_EQ(p->cache(0).validCount(), 0u);
+    EXPECT_EQ(p->memValue(1), 7u);
+    // The presence bits are the cache arrays' copies.
+    EXPECT_EQ(p->cache(0).peek(2), nullptr);
+    EXPECT_NE(p->cache(2).peek(2), nullptr);
+    p->checkInvariants();
 }
 
 TEST(FlushCache, MigrationWithFlushKeepsSoftwareSchemeSound)
@@ -168,10 +182,10 @@ TEST(FlushCache, UnsupportedProtocolsFatal)
 
 TEST(FlushCache, FlushOfEmptyCacheIsFree)
 {
-    TwoBitProtocol p(config());
-    const AccessCounts before = p.counts();
-    p.flushCache(2);
-    const AccessCounts d = p.counts() - before;
+    auto p = makeTable("two_bit");
+    const AccessCounts before = p->counts();
+    p->flushCache(2);
+    const AccessCounts d = p->counts() - before;
     EXPECT_EQ(d.ejects, 0u);
     EXPECT_EQ(d.netMessages, 0u);
 }

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -240,50 +241,13 @@ BM_UnorderedMapChurn(benchmark::State &state)
 }
 BENCHMARK(BM_UnorderedMapChurn);
 
-/** End-to-end timed tier: references retired per second through the
- *  full two-bit protocol with crossbar contention. */
-void
-BM_TimedTwoBitEndToEnd(benchmark::State &state)
-{
-    std::uint64_t refs = 0;
-    for (auto _ : state) {
-        TimedConfig cfg;
-        cfg.protocol = TimedProto::TwoBit;
-        cfg.numProcs = 4;
-        cfg.numModules = 2;
-        cfg.cacheGeom.sets = 16;
-        cfg.cacheGeom.ways = 2;
-        cfg.perBlockConcurrency = true;
-        cfg.network = NetKind::Crossbar;
-        TimedSystem sys(cfg);
-
-        SyntheticConfig scfg;
-        scfg.numProcs = 4;
-        scfg.q = 0.2;
-        scfg.w = 0.3;
-        scfg.sharedBlocks = 8;
-        scfg.privateBlocks = 64;
-        scfg.hotBlocks = 16;
-        scfg.seed = 0xbe7c4;
-        SyntheticStream stream(scfg);
-
-        const auto r = sys.run(
-            [&](ProcId p) -> std::optional<MemRef> {
-                return stream.nextFor(p);
-            },
-            400);
-        refs += r.refsCompleted;
-    }
-    state.SetItemsProcessed(static_cast<std::int64_t>(refs));
-}
-BENCHMARK(BM_TimedTwoBitEndToEnd);
-
 /**
- * The end-to-end run above with a telemetry sampler attached
- * (obs/telemetry.hh): the full 37-metric timed registry sampled every
- * Arg(0) ticks.  The delta against BM_TimedTwoBitEndToEnd is the
- * whole cost of time-series telemetry — boundary-clamped kernel
- * chunking plus registry snapshots; statistics stay bit-identical
+ * End-to-end timed tier: references retired per second through the
+ * full two-bit protocol with crossbar contention.  Arg(0) is the
+ * telemetry sampling interval in ticks (obs/telemetry.hh), 0 for no
+ * sampler; the delta of /256 and /64 against /0 is the whole cost of
+ * time-series telemetry — boundary-clamped kernel chunking plus
+ * registry snapshots.  Statistics stay bit-identical
  * (tests/test_telemetry.cc).
  */
 void
@@ -301,8 +265,11 @@ BM_TimedTwoBitEndToEndSampled(benchmark::State &state)
         cfg.cacheGeom.ways = 2;
         cfg.perBlockConcurrency = true;
         cfg.network = NetKind::Crossbar;
-        TelemetrySampler sampler(SeriesDomain::Ticks, interval);
-        cfg.sampler = &sampler;
+        std::optional<TelemetrySampler> sampler;
+        if (interval) {
+            sampler.emplace(SeriesDomain::Ticks, interval);
+            cfg.sampler = &*sampler;
+        }
         TimedSystem sys(cfg);
 
         SyntheticConfig scfg;
@@ -321,14 +288,15 @@ BM_TimedTwoBitEndToEndSampled(benchmark::State &state)
             },
             400);
         refs += r.refsCompleted;
-        samples += sampler.samples();
+        if (sampler)
+            samples += sampler->samples();
     }
     state.SetItemsProcessed(static_cast<std::int64_t>(refs));
     state.counters["samples_per_run"] = benchmark::Counter(
         static_cast<double>(samples) /
         static_cast<double>(state.iterations()));
 }
-BENCHMARK(BM_TimedTwoBitEndToEndSampled)->Arg(256)->Arg(64);
+BENCHMARK(BM_TimedTwoBitEndToEndSampled)->Arg(0)->Arg(256)->Arg(64);
 
 void
 BM_TwoBitDirectorySetGet(benchmark::State &state)

@@ -27,17 +27,14 @@ Value
 Protocol::access(ProcId k, Addr a, bool write, Value wval)
 {
     DIR2B_ASSERT(k < cfg_.numProcs, "access from unknown processor ", k);
-    const AccessCounts before = counts_;
+    before_ = counts_;
     if (write)
         ++counts_.writes;
     else
         ++counts_.reads;
     ++refsBy_[k];
 
-    const Value result = doAccess(k, a, write, wval);
-
-    lastDelta_ = counts_ - before;
-    return result;
+    return doAccess(k, a, write, wval);
 }
 
 void

@@ -90,8 +90,13 @@ class Protocol
     /** Cumulative event counts. */
     const AccessCounts &counts() const { return counts_; }
 
-    /** Counts delta of the most recent access() call. */
-    const AccessCounts &lastDelta() const { return lastDelta_; }
+    /**
+     * Counts delta of the most recent access() call, computed on
+     * demand from a snapshot access() takes of counts() on entry.
+     * Valid until the next call that changes counts (another access(),
+     * or a flushCache(), whose events it would then include).
+     */
+    AccessCounts lastDelta() const { return counts_ - before_; }
 
     /** Per-cache view: commands received from other caches' activity. */
     std::uint64_t
@@ -180,7 +185,8 @@ class Protocol
 
   private:
     std::string name_;
-    AccessCounts lastDelta_;
+    /** counts_ as access() found it; lastDelta() subtracts it. */
+    AccessCounts before_;
     std::vector<std::uint64_t> recvCmds_;
     std::vector<std::uint64_t> recvUseless_;
     std::vector<std::uint64_t> refsBy_;

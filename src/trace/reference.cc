@@ -14,4 +14,16 @@ toString(const MemRef &r)
     return os.str();
 }
 
+std::size_t
+RefStream::fill(MemRef *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        auto r = next();
+        if (!r)
+            return i;
+        out[i] = *r;
+    }
+    return n;
+}
+
 } // namespace dir2b

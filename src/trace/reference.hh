@@ -13,6 +13,7 @@
 #ifndef DIR2B_TRACE_REFERENCE_HH
 #define DIR2B_TRACE_REFERENCE_HH
 
+#include <cstddef>
 #include <optional>
 #include <string>
 
@@ -46,6 +47,15 @@ class RefStream
 
     /** Next reference, or nullopt when the stream ends. */
     virtual std::optional<MemRef> next() = 0;
+
+    /**
+     * Write up to n next references to out and return how many were
+     * written; fewer than n only when the stream ends.  Yields exactly
+     * the references n next() calls would, so callers may mix the two.
+     * The default loops next(); generators override it with one
+     * non-virtual loop per block.
+     */
+    virtual std::size_t fill(MemRef *out, std::size_t n);
 };
 
 /** Base address of the shared-writeable region used by the synthetic

@@ -85,8 +85,18 @@ std::optional<MemRef>
 SyntheticStream::next()
 {
     const MemRef r = nextFor(turn_);
-    turn_ = static_cast<ProcId>((turn_ + 1) % cfg_.numProcs);
+    advanceTurn();
     return r;
+}
+
+std::size_t
+SyntheticStream::fill(MemRef *out, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        out[i] = nextFor(turn_);
+        advanceTurn();
+    }
+    return n;
 }
 
 double

@@ -90,6 +90,9 @@ class SyntheticStream : public RefStream
 
     std::optional<MemRef> next() override;
 
+    /** Never ends, so always writes n references. */
+    std::size_t fill(MemRef *out, std::size_t n) override;
+
     /**
      * Generate the next reference for a specific processor.  All
      * mutable state is per-processor, so concurrent calls for
@@ -103,6 +106,14 @@ class SyntheticStream : public RefStream
     double measuredSharedFraction() const;
 
   private:
+    /** Advance the round-robin turn by one processor. */
+    void
+    advanceTurn()
+    {
+        if (++turn_ == cfg_.numProcs)
+            turn_ = 0;
+    }
+
     /** Apply the spaceBlocks scatter (identity when the knob is 0). */
     Addr scatter(Addr a) const;
 

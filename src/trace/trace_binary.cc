@@ -24,6 +24,31 @@ traceDigest(const void *p, std::size_t n, std::uint64_t h)
     return h;
 }
 
+namespace
+{
+
+/**
+ * One walk over a block's payload that advances two FNV-1a chains: the
+ * block's own digest (seeded fresh) and the file's running digest.
+ * Equal to two traceDigest() calls, in half the passes over the bytes.
+ */
+void
+digestBlock(const void *p, std::size_t n, std::uint64_t &block,
+            std::uint64_t &running)
+{
+    const auto *b = static_cast<const std::uint8_t *>(p);
+    std::uint64_t hb = traceDigestSeed;
+    std::uint64_t hr = running;
+    for (std::size_t i = 0; i < n; ++i) {
+        hb = (hb ^ b[i]) * 0x100000001b3ULL;
+        hr = (hr ^ b[i]) * 0x100000001b3ULL;
+    }
+    block = hb;
+    running = hr;
+}
+
+} // namespace
+
 // ---------------------------------------------------------------- writer
 
 TraceWriter::TraceWriter(const std::string &path,
@@ -68,8 +93,7 @@ TraceWriter::flushBlock()
     h.magic = traceBlockMagic;
     h.records = static_cast<std::uint32_t>(buf_.size());
     h.firstIndex = totalRecords_;
-    h.blockDigest = traceDigest(buf_.data(), bytes);
-    runningDigest_ = traceDigest(buf_.data(), bytes, runningDigest_);
+    digestBlock(buf_.data(), bytes, h.blockDigest, runningDigest_);
     h.runningDigest = runningDigest_;
 
     if (std::fwrite(&h, sizeof(h), 1, f_) != 1 ||
@@ -216,13 +240,13 @@ TraceReader::verify() const
         const TraceBlockHeader *h = blocks_[b];
         const std::size_t bytes =
             std::size_t{h->records} * sizeof(TraceRecord);
-        const std::uint64_t blockDigest = traceDigest(h + 1, bytes);
+        std::uint64_t blockDigest;
+        digestBlock(h + 1, bytes, blockDigest, running);
         if (blockDigest != h->blockDigest)
             DIR2B_FATAL("trace '", path_, "': block ", b,
                         " digest mismatch (payload corrupt): 0x",
                         std::hex, blockDigest, " != 0x",
                         h->blockDigest);
-        running = traceDigest(h + 1, bytes, running);
         if (running != h->runningDigest)
             DIR2B_FATAL("trace '", path_, "': block ", b,
                         " running digest mismatch");

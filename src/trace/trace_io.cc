@@ -60,14 +60,8 @@ readTrace(std::istream &is)
 std::vector<MemRef>
 recordStream(RefStream &src, std::size_t n)
 {
-    std::vector<MemRef> refs;
-    refs.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        auto r = src.next();
-        if (!r)
-            break;
-        refs.push_back(*r);
-    }
+    std::vector<MemRef> refs(n);
+    refs.resize(src.fill(refs.data(), n));
     return refs;
 }
 

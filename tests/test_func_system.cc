@@ -52,6 +52,37 @@ TEST(FuncSystem, StopsWhenStreamEnds)
     EXPECT_EQ(r.counts.refs(), 3u);
 }
 
+TEST(FuncSystem, StreamContinuesWhereTheRunStopped)
+{
+    auto proto = makeProtocol("two_bit", config());
+    SyntheticConfig scfg;
+    scfg.numProcs = 4;
+    SyntheticStream stream(scfg);
+    RunOptions opts;
+    opts.numRefs = 1000;
+    runFunctional(*proto, stream, opts);
+
+    SyntheticStream fresh(scfg);
+    for (int i = 0; i < 1000; ++i)
+        fresh.next();
+    EXPECT_EQ(*stream.next(), *fresh.next());
+}
+
+TEST(FuncSystem, FiniteStreamEndingMidBlockRunsItsLength)
+{
+    // 300 references end inside the second block the run pulls.
+    std::vector<MemRef> refs;
+    for (Addr a = 0; a < 300; ++a)
+        refs.push_back({static_cast<ProcId>(a % 4), a % 40, a % 5 == 0});
+    auto proto = makeProtocol("two_bit", config());
+    VectorStream stream(refs);
+    RunOptions opts;
+    opts.numRefs = 1000000;
+    const RunResult r = runFunctional(*proto, stream, opts);
+    EXPECT_EQ(r.counts.refs(), 300u);
+    EXPECT_FALSE(stream.next().has_value());
+}
+
 TEST(FuncSystem, MeasuredQAndWTrackTheStream)
 {
     auto proto = makeProtocol("two_bit", config());

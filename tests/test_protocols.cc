@@ -15,6 +15,7 @@
 #include "proto/software.hh"
 #include "proto/write_once.hh"
 #include "trace/reference.hh"
+#include "trace/synthetic.hh"
 
 namespace dir2b
 {
@@ -371,6 +372,41 @@ TEST(Factory, BuildsEveryRegisteredProtocol)
         // Smoke: one access works and invariants hold.
         p->access(0, privateRegionBase(0), false);
         p->checkInvariants();
+    }
+}
+
+TEST(Factory, LastDeltaIsTheCountsDifferenceOfEachAccess)
+{
+    ProtoConfig cfg = config(4, 8, 2);
+    cfg.nonCacheableBase = sharedRegionBase;
+    cfg.tbCapacity = 8;
+    SyntheticConfig scfg;
+    scfg.numProcs = cfg.numProcs;
+    scfg.q = 0.3;
+    scfg.w = 0.4;
+    scfg.sharedBlocks = 8;
+    scfg.privateBlocks = 64;
+    scfg.hotBlocks = 8;
+    const auto fields = [](const AccessCounts &c) {
+        std::vector<std::uint64_t> v;
+        AccessCounts::forEachField(
+            c, [&](const char *, std::uint64_t x) { v.push_back(x); });
+        return v;
+    };
+    for (const auto &name : protocolNames()) {
+        auto p = makeProtocol(name, cfg);
+        SyntheticStream stream(scfg);
+        Value nonce = 0;
+        for (int i = 0; i < 10000; ++i) {
+            const MemRef r = *stream.next();
+            const auto before = fields(p->counts());
+            p->access(r.proc, r.addr, r.write, ++nonce);
+            const auto after = fields(p->counts());
+            const auto delta = fields(p->lastDelta());
+            for (std::size_t f = 0; f < delta.size(); ++f)
+                ASSERT_EQ(delta[f], after[f] - before[f])
+                    << name << ", ref " << i << ", field " << f;
+        }
     }
 }
 

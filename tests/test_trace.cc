@@ -103,6 +103,46 @@ TEST(SyntheticStream, DeterministicForSameSeed)
         EXPECT_EQ(*a.next(), *b.next());
 }
 
+TEST(SyntheticStream, FillYieldsExactlyTheRefsOfNext)
+{
+    // Block sizes that do not divide the processor count leave the
+    // round-robin turn mid-cycle between fills.
+    for (const ProcId procs : {1u, 3u, 8u}) {
+        for (const std::size_t block : {1u, 5u, 7u, 256u}) {
+            SyntheticConfig cfg;
+            cfg.numProcs = procs;
+            cfg.q = 0.3;
+            cfg.seed = 7;
+            SyntheticStream filled(cfg);
+            SyntheticStream stepped(cfg);
+            std::vector<MemRef> buf(block);
+            for (int round = 0; round < 40; ++round) {
+                ASSERT_EQ(filled.fill(buf.data(), block), block);
+                for (std::size_t i = 0; i < block; ++i)
+                    ASSERT_EQ(buf[i], *stepped.next())
+                        << procs << " procs, block " << block
+                        << ", round " << round << ", ref " << i;
+                // Interleaved next() calls stay in the same sequence.
+                ASSERT_EQ(*filled.next(), *stepped.next());
+            }
+        }
+    }
+}
+
+TEST(RefStream, DefaultFillStopsWhereTheStreamEnds)
+{
+    std::vector<MemRef> refs;
+    for (Addr a = 0; a < 5; ++a)
+        refs.push_back({static_cast<ProcId>(a % 2), a, a % 3 == 0});
+    VectorStream s(refs);
+    std::vector<MemRef> buf(8);
+    ASSERT_EQ(s.fill(buf.data(), 3), 3u);
+    ASSERT_EQ(s.fill(buf.data() + 3, 5), 2u);
+    buf.resize(5);
+    EXPECT_EQ(buf, refs);
+    EXPECT_EQ(s.fill(buf.data(), 4), 0u);
+}
+
 TEST(Workload, ProducerConsumerRoles)
 {
     WorkloadConfig cfg;

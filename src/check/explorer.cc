@@ -4,7 +4,6 @@
 #include <sstream>
 #include <unordered_set>
 
-#include "core/two_bit_wt_protocol.hh"
 #include "proto/protocol_factory.hh"
 #include "proto/table_engine.hh"
 #include "util/parallel.hh"
@@ -112,7 +111,6 @@ std::string
 signatureOf(const Sim &sim, const ExplorerConfig &cfg)
 {
     const Protocol &p = *sim.proto;
-    const auto *wt = dynamic_cast<const TwoBitWtProtocol *>(&p);
     const auto *tab = dynamic_cast<const TableProtocol *>(&p);
 
     std::string sig;
@@ -128,9 +126,7 @@ signatureOf(const Sim &sim, const ExplorerConfig &cfg)
             sig += l->value == sim.oracle.expected(a) ? 'f' : 's';
         }
         sig += p.memValue(a) == sim.oracle.expected(a) ? 'F' : 'S';
-        if (wt)
-            sig += '0' + static_cast<char>(wt->globalState(a));
-        else if (tab)
+        if (tab)
             sig += '0' + static_cast<char>(tab->dirStateOf(a));
         sig += '|';
     }

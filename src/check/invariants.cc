@@ -2,7 +2,6 @@
 
 #include <sstream>
 
-#include "core/two_bit_wt_protocol.hh"
 #include "proto/table_engine.hh"
 
 namespace dir2b
@@ -38,71 +37,12 @@ census(const Protocol &proto, Addr a)
     return c;
 }
 
-/** Directory-vs-census check for the write-through two-bit variant,
- *  the one two-bit map kept outside the table engine. */
-std::optional<Violation>
-checkTwoBitWtMap(GlobalState st, Addr a, const Copies &c)
-{
-    std::ostringstream os;
-    os << "block " << a << " is " << toString(st) << " but has "
-       << c.holders << " holder(s), " << c.modified << " modified";
-    const auto bad = violation("map-mismatch", os.str());
-
-    switch (st) {
-      case GlobalState::Absent:
-        if (c.holders != 0)
-            return bad;
-        break;
-      case GlobalState::Present1:
-        if (c.holders != 1 || c.modified != 0)
-            return bad;
-        break;
-      case GlobalState::PresentStar:
-        // Zero or more clean copies: the count is unknowable because
-        // clean ejections cannot be decremented (§3.1 footnote 2).
-        if (c.modified != 0)
-            return bad;
-        break;
-      case GlobalState::PresentM:
-        // Write-through caches never hold a modified copy.
-        return bad;
-    }
-    return std::nullopt;
-}
-
-/** Directory-vs-census check for table protocols: the table declares
- *  per-state holder/modified bounds, so no scheme-specific code. */
-std::optional<Violation>
-checkTableMap(const TableProtocol &tp, Addr a, const Copies &c)
-{
-    const TransitionTable &t = tp.table();
-    const std::uint8_t st = tp.dirStateOf(a);
-    if (st >= t.stateNames.size()) {
-        std::ostringstream os;
-        os << "block " << a << " directory state " << unsigned(st)
-           << " is out of range for table " << t.name;
-        return violation("map-mismatch", os.str());
-    }
-    const StateConstraint &want = t.constraints[st];
-    if (c.holders < want.minHolders || c.holders > want.maxHolders ||
-        c.modified < want.minModified ||
-        c.modified > want.maxModified) {
-        std::ostringstream os;
-        os << "block " << a << " is " << t.stateNames[st]
-           << " but has " << c.holders << " holder(s), " << c.modified
-           << " modified";
-        return violation("map-mismatch", os.str());
-    }
-    return std::nullopt;
-}
-
 } // namespace
 
 std::optional<Violation>
 checkProtocolState(const Protocol &proto, const CoherenceOracle &oracle,
                    const std::vector<Addr> &blocks)
 {
-    const auto *wt = dynamic_cast<const TwoBitWtProtocol *>(&proto);
     const auto *tab = dynamic_cast<const TableProtocol *>(&proto);
 
     for (const Addr a : blocks) {
@@ -135,14 +75,11 @@ checkProtocolState(const Protocol &proto, const CoherenceOracle &oracle,
             return violation("stale-memory", os.str());
         }
 
-        if (wt) {
-            auto v = checkTwoBitWtMap(wt->globalState(a), a, c);
-            if (v)
-                return v;
-        } else if (tab) {
-            auto v = checkTableMap(*tab, a, c);
-            if (v)
-                return v;
+        if (tab) {
+            const std::string why =
+                tab->constraintViolation(a, c.holders, c.modified);
+            if (!why.empty())
+                return violation("map-mismatch", why);
         }
     }
     return std::nullopt;

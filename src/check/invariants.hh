@@ -13,11 +13,10 @@
  *     modified copy exists, memory holds it too;
  *  2. single writer — at most one modified copy of a block exists
  *     system-wide;
- *  3. two-bit map consistency — for the schemes keeping the §3.1
- *     global states, the directory entry is consistent with the
- *     actual set of cached copies (Absent: none; Present1: exactly
- *     one, clean; Present*: any number, all clean; PresentM: exactly
- *     one, modified);
+ *  3. map consistency — for table schemes, the directory entry meets
+ *     its state's bounds on the cached copies (for the §3.1 global
+ *     states, Absent: none; Present1: exactly one, clean; Present*:
+ *     any number, all clean; PresentM: exactly one, modified);
  *  4. §4.2 command counts — for the plain two-bit scheme, the
  *     broadcast deliveries and useless commands of one access match
  *     the closed-form case analysis behind T_RM / T_WM / T_WH.

@@ -1,7 +1,6 @@
 #include "proto/protocol_factory.hh"
 
 #include "core/two_bit_tb_protocol.hh"
-#include "core/two_bit_wt_protocol.hh"
 #include "proto/classical.hh"
 #include "proto/dup_dir.hh"
 #include "proto/full_map_local.hh"
@@ -18,7 +17,7 @@ namespace dir2b
 std::unique_ptr<Protocol>
 makeProtocol(const std::string &name, const ProtoConfig &cfg)
 {
-    // The two-bit scheme, the full map and their variants run on the
+    // The two-bit schemes, the full map and their variants run on the
     // table engine; the shipped tables are compiled once and shared.
     if (name == "two_bit" || name == "two_bit_table")
         return std::make_unique<TableProtocol>(twoBitTable(), cfg, name);
@@ -28,7 +27,7 @@ makeProtocol(const std::string &name, const ProtoConfig &cfg)
     if (name == "two_bit_tb")
         return std::make_unique<TwoBitTbProtocol>(cfg);
     if (name == "two_bit_wt")
-        return std::make_unique<TwoBitWtProtocol>(cfg);
+        return std::make_unique<TableProtocol>(twoBitWtTable(), cfg);
     if (name == "full_map" || name == "full_map_table")
         return std::make_unique<TableProtocol>(fullMapTable(), cfg, name);
     if (name == "full_map_local")

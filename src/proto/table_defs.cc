@@ -186,6 +186,38 @@ buildTwoBit(const char *name, bool present1)
     return t;
 }
 
+/** §2.4's write-through branch, the map as a filter over the classical
+ *  scheme's broadcasts: memory is always current (no PresentM), a
+ *  write miss allocates nothing, reads and ejects are as above. */
+TransitionTable
+buildTwoBitWriteThrough()
+{
+    enum : std::uint8_t { A, P1, PS, PM };
+    TransitionTable t = buildTwoBit("two_bit_wt", true);
+    t.stateNames.pop_back();
+    t.constraints.pop_back();
+    std::erase_if(t.rows, [](const TableRow &r) {
+        return r.state == PM ||
+               (r.event != E::ReadHit && r.event != E::ReadMiss &&
+                r.event != E::EvictClean);
+    });
+    const TableAction through = act(ActionOp::WriteThrough);
+    const TableAction write = act(ActionOp::WriteLine);
+    const TableAction inv = act(ActionOp::SendBroadInv);
+    t.rows.insert(t.rows.end(), {
+        // Every store goes through.  Present1 needs no broadcast, the
+        // filtering win over the classical scheme; on Present* the
+        // other copies go and exactly the writer's remains.
+        row(P1, E::WriteHitClean, {through, write}, P1),
+        row(PS, E::WriteHitClean, {through, write, inv, setDir(P1)}, P1),
+        // No write-allocate: after the invalidation no copy remains.
+        row(A, E::WriteMiss, {through}, A),
+        row(P1, E::WriteMiss, {through, inv, setDir(A)}, A),
+        row(PS, E::WriteMiss, {through, inv, setDir(A)}, A),
+    });
+    return t;
+}
+
 TransitionTable
 buildFullMap()
 {
@@ -439,6 +471,13 @@ const CompiledTable &
 twoBitNoPresent1Table()
 {
     static const CompiledTable t(buildTwoBit("two_bit_nop1", false));
+    return t;
+}
+
+const CompiledTable &
+twoBitWtTable()
+{
+    static const CompiledTable t(buildTwoBitWriteThrough());
     return t;
 }
 

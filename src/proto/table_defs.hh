@@ -12,6 +12,9 @@
  *                          variant "two_bit_tb" on top of it;
  *   twoBitNoPresent1Table() the §3.2.1/§3.2.4 ablation without
  *                          Present1 ("two_bit_nop1");
+ *   twoBitWtTable()        the write-through two-bit variant of §2.4
+ *                          ("two_bit_wt"): no PresentM, no
+ *                          write-allocate;
  *   fullMapTable()         the Censier-Feautrier full map ("full_map",
  *                          "full_map_table", and Tang's duplicated
  *                          directories "dup_dir" on top of it);
@@ -36,6 +39,9 @@ const CompiledTable &twoBitTable();
 
 /** The two-bit scheme without Present1 ("two_bit_nop1"). */
 const CompiledTable &twoBitNoPresent1Table();
+
+/** The write-through two-bit scheme ("two_bit_wt"). */
+const CompiledTable &twoBitWtTable();
 
 /** The full-map directory scheme ("full_map", "full_map_table"). */
 const CompiledTable &fullMapTable();

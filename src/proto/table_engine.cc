@@ -58,6 +58,8 @@ toString(ActionOp op)
         return "ReadMem";
       case ActionOp::WritebackLine:
         return "WritebackLine";
+      case ActionOp::WriteThrough:
+        return "WriteThrough";
       case ActionOp::FillLine:
         return "FillLine";
       case ActionOp::SetLine:
@@ -104,6 +106,15 @@ stateName(const TransitionTable &t, std::uint8_t s)
 /** Highest LineState value (cache_types.hh). */
 constexpr auto maxLineState =
     static_cast<std::uint8_t>(LineState::Owned);
+
+bool
+fillsLine(const TableRow &r)
+{
+    for (const TableAction &a : r.actions)
+        if (a.op == ActionOp::FillLine)
+            return true;
+    return false;
+}
 
 } // namespace
 
@@ -176,6 +187,14 @@ TransitionTable::validate() const
                 rowMsg(i, "mixes any-state and per-state rows for " +
                               toString(r.event) + " (row " +
                               std::to_string(j) + ")");
+                break;
+            }
+            // A miss evicts a victim only when its rows fill a line,
+            // so the rows of one event must all fill or all not.
+            if (fillsLine(p) != fillsLine(r)) {
+                rowMsg(i, "disagrees with row " + std::to_string(j) +
+                              " on whether " + toString(r.event) +
+                              " fills a line");
                 break;
             }
             if (p.state != r.state)
@@ -278,8 +297,13 @@ CompiledTable::CompiledTable(TransitionTable table)
         return slots_[(any ? 0 : std::size_t{r.state}) *
                           numEventClasses + e];
     };
-    for (const TableRow &r : rows)
+    for (const TableRow &r : rows) {
         ++slotOf(r).len;
+        if (fillsLine(r))
+            evicts_[static_cast<std::size_t>(r.event)] =
+                r.event == EventClass::ReadMiss ||
+                r.event == EventClass::WriteMiss;
+    }
     std::uint32_t off = 0;
     for (Slot &slot : slots_) {
         slot.off = off;
@@ -552,8 +576,9 @@ TableProtocol::dispatch(ProcId k, Addr a, bool write, Value wval,
                         EventClass ev, CacheLine *line)
 {
     // Replacement precedes the miss transaction (§3.2.1): the victim
-    // runs through the same eviction rows flushCache uses.
-    if (ev == EventClass::ReadMiss || ev == EventClass::WriteMiss) {
+    // runs through the same eviction rows flushCache uses.  A miss
+    // whose rows fill no line (no write-allocate) evicts nothing.
+    if (table_->evictsVictim(ev)) {
         CacheLine &victim = caches_[k].victimFor(a);
         if (victim.valid())
             evictLine(k, victim);
@@ -602,6 +627,13 @@ TableProtocol::execute(const TableRow &row, ProcId k, Addr a, bool write,
             mem_.write(a, line->value);
             ++counts_.memWrites;
             ++counts_.writebacks;
+            break;
+
+          case ActionOp::WriteThrough:
+            mem_.write(a, wval);
+            ++counts_.memWrites;
+            ++counts_.wordWrites;
+            ++counts_.netMessages;
             break;
 
           case ActionOp::FillLine:
@@ -748,37 +780,56 @@ TableProtocol::flushCache(ProcId p)
         evictLine(p, l);
 }
 
+std::string
+TableProtocol::constraintViolation(Addr a, std::size_t holders,
+                                   std::size_t modified) const
+{
+    const std::uint8_t st = dirStateOf(a);
+    std::ostringstream os;
+    if (st >= table_->stateNames.size()) {
+        os << "block " << a << " has directory state " << unsigned{st}
+           << " outside table '" << table_->name << "'";
+    } else if (const StateConstraint &c = table_->constraints[st];
+               holders < c.minHolders || holders > c.maxHolders ||
+               modified < c.minModified || modified > c.maxModified) {
+        os << "block " << a << " is " << table_->stateNames[st]
+           << " but has " << holders << " holder(s), " << modified
+           << " modified";
+    }
+    return os.str();
+}
+
 void
 TableProtocol::checkInvariants() const
 {
     // Census every cached block, then check the per-state bounds the
-    // table declares.  This is the generic form of the hand-written
-    // schemes' directory-vs-cache cross-checks.
-    std::unordered_map<Addr, std::pair<std::size_t, std::size_t>> seen;
+    // table declares and value coherence: every copy holds the same
+    // value, which is memory's when no copy is modified.  This is the
+    // generic form of the hand-written schemes' cross-checks.
+    struct Census
+    {
+        std::size_t holders = 0;
+        std::size_t modified = 0;
+        Value value = 0;
+        bool agree = true;
+    };
+    std::unordered_map<Addr, Census> seen;
     for (ProcId p = 0; p < cfg_.numProcs; ++p) {
         caches_[p].forEachValid([&](const CacheLine &l) {
-            auto &[holders, modified] = seen[l.addr];
-            ++holders;
+            Census &c = seen[l.addr];
+            c.agree = c.agree && (c.holders == 0 || l.value == c.value);
+            c.value = l.value;
+            ++c.holders;
             if (l.dirty())
-                ++modified;
+                ++c.modified;
         });
     }
-    for (const auto &[a, hm] : seen) {
-        const auto [holders, modified] = hm;
-        const std::uint8_t st = dirStateOf(a);
-        DIR2B_ASSERT(st < table_->stateNames.size(),
-                     "block ", a, " has directory state ",
-                     static_cast<unsigned>(st), " outside table '",
-                     table_->name, "'");
-        const StateConstraint &c = table_->constraints[st];
-        DIR2B_ASSERT(holders >= c.minHolders &&
-                         holders <= c.maxHolders,
-                     "block ", a, " is ", stateName(*table_, st),
-                     " but has ", holders, " holder(s)");
-        DIR2B_ASSERT(modified >= c.minModified &&
-                         modified <= c.maxModified,
-                     "block ", a, " is ", stateName(*table_, st),
-                     " but has ", modified, " modified cop(y/ies)");
+    for (const auto &[a, c] : seen) {
+        const std::string why = constraintViolation(a, c.holders,
+                                                    c.modified);
+        DIR2B_ASSERT(why.empty(), why);
+        DIR2B_ASSERT(c.agree && (c.modified || c.value == mem_.peek(a)),
+                     "block ", a, " has a stale copy");
     }
 }
 

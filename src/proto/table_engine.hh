@@ -7,8 +7,9 @@
  * over a fixed action vocabulary, in the style of BlackParrot's
  * BedRock microcode engine (arXiv:2211.06390) and the Guarded Action
  * Language coherence models (arXiv:1803.10323).  TableProtocol is the
- * only interpreter of the paper's two-bit scheme and of the full map:
- * "two_bit" and "full_map" run their tables, the exhaustive explorer
+ * only interpreter of the paper's two-bit scheme, write-back and
+ * write-through, and of the full map: "two_bit", "two_bit_wt" and
+ * "full_map" run their tables, the exhaustive explorer
  * enumerates the rows directly, and the §4.2 command accounting comes
  * from the shared action implementations instead of per-scheme code.
  *
@@ -105,6 +106,9 @@ enum class ActionOp : std::uint8_t
      *  put + memory write (dataTransfers, netMessages, memWrites,
      *  writebacks). */
     WritebackLine,
+    /** Write the store value through to memory: one word write
+     *  (memWrites, wordWrites, netMessages). */
+    WriteThrough,
     /** Fill the requester's cache with the block (arg = LineState);
      *  data for loads, the store value for writes.  Counts nothing —
      *  precede with Bump(DataTransfers)/Bump(NetMessages) for the
@@ -144,7 +148,7 @@ enum class ActionOp : std::uint8_t
     SendFetchInvOwner,
 };
 
-constexpr unsigned numActionOps = 16;
+constexpr unsigned numActionOps = 17;
 
 /** One action: opcode plus its immediate argument. */
 struct TableAction
@@ -176,7 +180,7 @@ struct TableRow
 };
 
 /** Structural invariant bounds for one directory state, checked by
- *  TableProtocol::checkInvariants() and the explorer. */
+ *  TableProtocol::constraintViolation(). */
 struct StateConstraint
 {
     std::size_t minHolders = 0;
@@ -260,6 +264,14 @@ class CompiledTable : public TransitionTable
         return direct_[static_cast<std::size_t>(ev)];
     }
 
+    /** Whether `ev` is a miss whose rows fill a line (all or none do,
+     *  validated), so a victim is evicted before they run. */
+    bool
+    evictsVictim(EventClass ev) const
+    {
+        return evicts_[static_cast<std::size_t>(ev)];
+    }
+
   private:
     struct Slot
     {
@@ -270,6 +282,7 @@ class CompiledTable : public TransitionTable
     std::vector<Slot> slots_;
     std::vector<std::uint16_t> slotRows_;
     bool anyState_[numEventClasses] = {};
+    bool evicts_[numEventClasses] = {};
     DirectRow direct_[numEventClasses];
 };
 
@@ -310,9 +323,15 @@ class TableProtocol : public Protocol
 
     DirStoreCounters dirStoreCounters() const override;
 
-    /** Generic: census every cached block against the per-state
-     *  constraints; panics on violation. */
+    /** Generic: every cached block meets its state's constraints, and
+     *  every copy equals the modified copy if any, else memory; panics
+     *  on violation. */
     void checkInvariants() const override;
+
+    /** Why `holders` copies of block a, `modified` of them dirty,
+     *  break its directory state's bounds; empty when they do not. */
+    std::string constraintViolation(Addr a, std::size_t holders,
+                                    std::size_t modified) const;
 
     /** Executable whenever the table has eviction rows: each valid
      *  line is ejected through the same rows replacement uses. */

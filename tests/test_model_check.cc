@@ -199,7 +199,8 @@ TEST(ModelCheck, TableProtocolsHaveNoUnreachableRows)
     // explorer's action alphabet can no longer provoke — both are
     // bugs.
     for (const std::string name :
-         {"two_bit_table", "full_map_table", "moesi"}) {
+         {"two_bit_table", "two_bit_nop1", "two_bit_wt", "full_map_table",
+          "moesi"}) {
         const auto grid = tableGridFor(name);
         const auto results = exploreGrid(grid);
         ASSERT_EQ(results.size(), grid.size());

@@ -97,6 +97,7 @@ TEST(TableValidate, ShippedTablesAreValid)
 {
     EXPECT_TRUE(twoBitTable().validate().empty());
     EXPECT_TRUE(twoBitNoPresent1Table().validate().empty());
+    EXPECT_TRUE(twoBitWtTable().validate().empty());
     EXPECT_TRUE(fullMapTable().validate().empty());
     EXPECT_TRUE(moesiTable().validate().empty());
 }
@@ -107,6 +108,8 @@ TEST(TableValidate, ShippedTableShapes)
     // WriteHitDirty row where every state handles it alike.
     EXPECT_EQ(twoBitTable().rows.size(), 15u);
     EXPECT_EQ(twoBitNoPresent1Table().rows.size(), 11u);
+    EXPECT_EQ(twoBitWtTable().rows.size(), 11u);
+    EXPECT_EQ(twoBitWtTable().stateNames.size(), 3u);
     EXPECT_EQ(fullMapTable().rows.size(), 12u);
     EXPECT_EQ(moesiTable().rows.size(), 24u);
     EXPECT_TRUE(twoBitTable().anyStateEvent(EventClass::ReadHit));
@@ -115,6 +118,12 @@ TEST(TableValidate, ShippedTableShapes)
     EXPECT_FALSE(moesiTable().anyStateEvent(EventClass::WriteHitDirty));
     EXPECT_TRUE(twoBitTable().handlesEvict());
     EXPECT_TRUE(moesiTable().handlesEvict());
+    // Misses evict a victim only where their rows fill a line: the
+    // write-through write miss allocates nothing.
+    EXPECT_TRUE(twoBitTable().evictsVictim(EventClass::WriteMiss));
+    EXPECT_TRUE(twoBitWtTable().evictsVictim(EventClass::ReadMiss));
+    EXPECT_FALSE(twoBitWtTable().evictsVictim(EventClass::WriteMiss));
+    EXPECT_FALSE(twoBitWtTable().evictsVictim(EventClass::EvictClean));
 }
 
 TEST(TableValidate, DuplicateRowRejectedWithRowNumber)
@@ -165,6 +174,22 @@ TEST(TableValidate, ActionVocabularyViolationsRejected)
     TransitionTable w = tinyTable();
     w.rows[0].actions = {act(ActionOp::SetDirState, 3)};
     EXPECT_TRUE(rejectsWith(w, "undefined target state 3"));
+}
+
+TEST(TableValidate, MissRowsMustAgreeOnFilling)
+{
+    // A second state whose write miss allocates nothing, while state
+    // 0's write miss fills: the victim eviction would be ill-defined.
+    TransitionTable t = tinyTable();
+    t.stateNames = {"A", "B"};
+    t.constraints = {{0, SIZE_MAX, 0, 1}, {0, SIZE_MAX, 0, 1}};
+    t.rows.push_back({1, EventClass::WriteMiss, TableGuard::Always,
+                      {act(ActionOp::WriteThrough)}, 1});
+    EXPECT_TRUE(rejectsWith(t, "row 7", "disagrees with row 4"));
+
+    // Every write-miss row without a fill is fine.
+    t.rows[4].actions = {act(ActionOp::WriteThrough)};
+    EXPECT_TRUE(t.validate().empty());
 }
 
 TEST(TableValidate, NextStateMustMatchDirectoryEffect)

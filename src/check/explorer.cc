@@ -305,6 +305,13 @@ defaultExplorerGrid()
         tight.sets = 1;
         tight.ways = 1;
         grid.push_back(tight);
+        // A third cache makes "two other holders" reachable, which no
+        // 2-proc cell can provoke.
+        ExplorerConfig three;
+        three.protocol = name;
+        three.numProcs = 3;
+        three.numBlocks = 1;
+        grid.push_back(three);
     }
     return grid;
 }

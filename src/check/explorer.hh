@@ -115,9 +115,10 @@ ExploreResult explore(const ExplorerConfig &cfg);
 std::vector<ExploreResult>
 exploreGrid(const std::vector<ExplorerConfig> &grid, unsigned threads = 0);
 
-/** The default verification grid of the tentpole acceptance bar:
- *  every factory protocol (plus the no-Present1 ablation) at
- *  (2 caches x 1 block) and (2 caches x 2 blocks). */
+/** The default verification grid: every factory protocol (plus the
+ *  no-Present1 ablation) at (2 caches x 1 block), (2 caches x 2
+ *  blocks), the direct-mapped (2 caches x 2 blocks) replacement cell
+ *  and (3 caches x 1 block). */
 std::vector<ExplorerConfig> defaultExplorerGrid();
 
 } // namespace dir2b

@@ -3,7 +3,6 @@
 #include "core/two_bit_tb_protocol.hh"
 #include "proto/classical.hh"
 #include "proto/dup_dir.hh"
-#include "proto/full_map_local.hh"
 #include "proto/illinois.hh"
 #include "proto/software.hh"
 #include "proto/table_defs.hh"
@@ -17,7 +16,7 @@ namespace dir2b
 std::unique_ptr<Protocol>
 makeProtocol(const std::string &name, const ProtoConfig &cfg)
 {
-    // The two-bit schemes, the full map and their variants run on the
+    // The two-bit schemes, the full maps and their variants run on the
     // table engine; the shipped tables are compiled once and shared.
     if (name == "two_bit" || name == "two_bit_table")
         return std::make_unique<TableProtocol>(twoBitTable(), cfg, name);
@@ -31,7 +30,7 @@ makeProtocol(const std::string &name, const ProtoConfig &cfg)
     if (name == "full_map" || name == "full_map_table")
         return std::make_unique<TableProtocol>(fullMapTable(), cfg, name);
     if (name == "full_map_local")
-        return std::make_unique<FullMapLocalProtocol>(cfg);
+        return std::make_unique<TableProtocol>(fullMapLocalTable(), cfg);
     if (name == "dup_dir")
         return std::make_unique<DupDirProtocol>(cfg);
     if (name == "classical")

@@ -18,11 +18,13 @@
  *   "illinois"        Papamarcos-Patel bus scheme (ref [5])
  *   "software"        static software-enforced scheme (§2.2)
  *
- * The two-bit scheme, its write-through variant, the full map and the
- * variants built on them (two_bit_tb, dup_dir, the "two_bit_nop1"
- * ablation) run on the table engine (proto/table_engine.hh).  "two_bit_table" and
- * "full_map_table" name the same tables as "two_bit" and "full_map";
- * "moesi" exists only as a table.
+ * The two-bit scheme, its write-through variant, the full map, the
+ * Yen-Fu full map and the variants built on them (two_bit_tb,
+ * dup_dir, the "two_bit_nop1" ablation) run on the table engine
+ * (proto/table_engine.hh); classical, write_once, illinois and
+ * software are hand-written.  "two_bit_table" and "full_map_table"
+ * name the same tables as "two_bit" and "full_map"; "moesi" exists
+ * only as a table.
  */
 
 #ifndef DIR2B_PROTO_PROTOCOL_FACTORY_HH

@@ -301,6 +301,80 @@ buildFullMap()
     return t;
 }
 
+/** Yen and Fu's full map with local state (§2.4.3): the first reader
+ *  of an uncached block gets an exclusive-clean copy, which it may
+ *  write "without first consulting the global table".  The directory
+ *  cannot tell a silently upgraded copy from a clean one, so a remote
+ *  miss on an Exclusive block always queries the holder. */
+TransitionTable
+buildFullMapLocal()
+{
+    enum : std::uint8_t { U, X, S };
+    // A miss: REQUEST, the row's own actions, then the grant.
+    const auto miss = [](std::uint8_t st, E ev, G g,
+                         std::vector<TableAction> mid, std::uint8_t next,
+                         LineState as) {
+        mid.insert(mid.begin(), {bump(C::Requests), bump(C::NetMessages)});
+        mid.insert(mid.end(), {setDir(next), bump(C::DataTransfers),
+                               bump(C::NetMessages), fill(as)});
+        return rowIf(st, ev, g, std::move(mid), next);
+    };
+    // Every eject updates the presence bits: one SETSTATE, always.
+    const auto eject = [](std::uint8_t st, E ev, G g,
+                          std::vector<TableAction> mid, std::uint8_t next) {
+        mid.insert(mid.begin(), {bump(C::Ejects), bump(C::NetMessages)});
+        mid.insert(mid.end(), {setDir(next), act(ActionOp::DropLine)});
+        return rowIf(st, ev, g, std::move(mid), next);
+    };
+    const TableAction mem = act(ActionOp::ReadMem);
+    const TableAction share = act(ActionOp::SendShareHolders);
+    const TableAction inv = act(ActionOp::SendInvHolders);
+    const TableAction write = act(ActionOp::WriteLine);
+    const LineState Sh = LineState::Shared;
+    const LineState Mo = LineState::Modified;
+    TransitionTable t;
+    t.name = "full_map_local";
+    t.stateNames = {"Uncached", "Exclusive", "Shared"};
+    t.constraints = {none, {1, 1, 0, 1}, someClean};
+    t.dirBitsFixed = 1;   // the modified bit
+    t.dirBitsPerProc = 1; // one presence bit per cache
+    t.rows = {
+        hitRow(E::ReadHit, {}),
+        hitRow(E::WriteHitDirty, {write}),
+
+        // The scheme's payoff: the exclusive-clean holder writes with
+        // no global transaction at all.
+        row(X, E::WriteHitClean, {setLine(Mo), write}, X),
+        row(S, E::WriteHitClean,
+            {bump(C::MRequests), bump(C::NetMessages),
+             bump(C::NetMessages), inv, setDir(X), setLine(Mo), write},
+            X),
+
+        // The first reader gets an exclusive-clean copy.  A sole
+        // holder may have written silently, so it is queried; with
+        // two or more sharers memory is known to be current.
+        miss(U, E::ReadMiss, G::Always, {mem}, X, LineState::Exclusive),
+        miss(X, E::ReadMiss, G::OwnerDirty,
+             {act(ActionOp::SendPurgeRead)}, S, Sh),
+        miss(X, E::ReadMiss, G::Always, {share, mem}, S, Sh),
+        miss(S, E::ReadMiss, G::OtherHoldersOne, {share, mem}, S, Sh),
+        miss(S, E::ReadMiss, G::Always, {mem}, S, Sh),
+
+        miss(U, E::WriteMiss, G::Always, {mem}, X, Mo),
+        miss(X, E::WriteMiss, G::OwnerDirty,
+             {act(ActionOp::SendPurgeWrite)}, X, Mo),
+        miss(X, E::WriteMiss, G::Always, {inv, mem}, X, Mo),
+        miss(S, E::WriteMiss, G::Always, {inv, mem}, X, Mo),
+
+        eject(X, E::EvictClean, G::Always, {}, U),
+        eject(X, E::EvictDirty, G::Always,
+              {act(ActionOp::WritebackLine)}, U),
+        eject(S, E::EvictClean, G::OtherHoldersNone, {}, U),
+        eject(S, E::EvictClean, G::Always, {}, S),
+    };
+    return t;
+}
+
 TransitionTable
 buildMoesi()
 {
@@ -485,6 +559,13 @@ const CompiledTable &
 fullMapTable()
 {
     static const CompiledTable t(buildFullMap());
+    return t;
+}
+
+const CompiledTable &
+fullMapLocalTable()
+{
+    static const CompiledTable t(buildFullMapLocal());
     return t;
 }
 

@@ -18,6 +18,8 @@
  *   fullMapTable()         the Censier-Feautrier full map ("full_map",
  *                          "full_map_table", and Tang's duplicated
  *                          directories "dup_dir" on top of it);
+ *   fullMapLocalTable()    Yen and Fu's full map with an exclusive-clean
+ *                          state, §2.4.3 ("full_map_local");
  *   moesiTable()           a directory MOESI with an Owned state and
  *                          cache-to-cache supply, a protocol that
  *                          exists only as data ("moesi").
@@ -45,6 +47,9 @@ const CompiledTable &twoBitWtTable();
 
 /** The full-map directory scheme ("full_map", "full_map_table"). */
 const CompiledTable &fullMapTable();
+
+/** Yen-Fu full map with an exclusive-clean state ("full_map_local"). */
+const CompiledTable &fullMapLocalTable();
 
 /** Directory MOESI, new protocol purely as data ("moesi"). */
 const CompiledTable &moesiTable();

@@ -40,6 +40,8 @@ toString(TableGuard g)
         return "OtherHoldersNone";
       case TableGuard::OtherHoldersSome:
         return "OtherHoldersSome";
+      case TableGuard::OtherHoldersOne:
+        return "OtherHoldersOne";
       case TableGuard::OwnerDirty:
         return "OwnerDirty";
       case TableGuard::OwnerClean:
@@ -78,6 +80,8 @@ toString(ActionOp op)
         return "SendBroadQueryWrite";
       case ActionOp::SendInvHolders:
         return "SendInvHolders";
+      case ActionOp::SendShareHolders:
+        return "SendShareHolders";
       case ActionOp::SendPurgeRead:
         return "SendPurgeRead";
       case ActionOp::SendPurgeWrite:
@@ -168,7 +172,7 @@ TransitionTable::validate() const
         if (static_cast<unsigned>(r.event) >= numEventClasses)
             rowMsg(i, "unknown event class " +
                           std::to_string(static_cast<unsigned>(r.event)));
-        if (static_cast<unsigned>(r.guard) > 4)
+        if (r.guard > TableGuard::OwnerClean)
             rowMsg(i, "unknown guard " +
                           std::to_string(static_cast<unsigned>(r.guard)));
         const bool any = r.state == anyState;
@@ -395,6 +399,8 @@ TableProtocol::guardHolds(TableGuard g, Addr a, ProcId k) const
         return otherHolders(a, k) == 0;
       case TableGuard::OtherHoldersSome:
         return otherHolders(a, k) > 0;
+      case TableGuard::OtherHoldersOne:
+        return otherHolders(a, k) == 1;
       case TableGuard::OwnerDirty:
       case TableGuard::OwnerClean: {
         const ProcId p = remoteOwner(a, k);
@@ -674,7 +680,8 @@ TableProtocol::execute(const TableRow &row, ProcId k, Addr a, bool write,
             data = sendRemoteQuery(a, k, RW::Write);
             break;
 
-          case ActionOp::SendInvHolders: {
+          case ActionOp::SendInvHolders:
+          case ActionOp::SendShareHolders: {
             for (ProcId p = 0; p < cfg_.numProcs; ++p) {
                 if (p == k)
                     continue;
@@ -684,8 +691,13 @@ TableProtocol::execute(const TableRow &row, ProcId k, Addr a, bool write,
                 ++counts_.directedCmds;
                 ++counts_.netMessages;
                 deliverCmd(p, true);
-                dropLine(p, a);
-                ++counts_.invalidations;
+                if (act.op == ActionOp::SendShareHolders) {
+                    l->state = LineState::Shared;
+                    onCacheChange(p);
+                } else {
+                    dropLine(p, a);
+                    ++counts_.invalidations;
+                }
             }
             break;
           }
@@ -804,12 +816,14 @@ TableProtocol::checkInvariants() const
 {
     // Census every cached block, then check the per-state bounds the
     // table declares and value coherence: every copy holds the same
-    // value, which is memory's when no copy is modified.  This is the
-    // generic form of the hand-written schemes' cross-checks.
+    // value, which is memory's when no copy is modified.  An E or M
+    // copy must be the only one.  This is the generic form of the
+    // hand-written schemes' cross-checks.
     struct Census
     {
         std::size_t holders = 0;
         std::size_t modified = 0;
+        std::size_t sole = 0;
         Value value = 0;
         bool agree = true;
     };
@@ -822,6 +836,9 @@ TableProtocol::checkInvariants() const
             ++c.holders;
             if (l.dirty())
                 ++c.modified;
+            if (l.state == LineState::Exclusive ||
+                l.state == LineState::Modified)
+                ++c.sole;
         });
     }
     for (const auto &[a, c] : seen) {
@@ -830,6 +847,9 @@ TableProtocol::checkInvariants() const
         DIR2B_ASSERT(why.empty(), why);
         DIR2B_ASSERT(c.agree && (c.modified || c.value == mem_.peek(a)),
                      "block ", a, " has a stale copy");
+        DIR2B_ASSERT(c.sole == 0 || c.holders == 1, "block ", a,
+                     " has an exclusive copy and ", c.holders - 1,
+                     " other(s)");
     }
 }
 

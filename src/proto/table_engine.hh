@@ -8,10 +8,11 @@
  * BedRock microcode engine (arXiv:2211.06390) and the Guarded Action
  * Language coherence models (arXiv:1803.10323).  TableProtocol is the
  * only interpreter of the paper's two-bit scheme, write-back and
- * write-through, and of the full map: "two_bit", "two_bit_wt" and
- * "full_map" run their tables, the exhaustive explorer
- * enumerates the rows directly, and the §4.2 command accounting comes
- * from the shared action implementations instead of per-scheme code.
+ * write-through, and of the full map with and without Yen-Fu's local
+ * state: "two_bit", "two_bit_wt", "full_map" and "full_map_local" run
+ * their tables, the exhaustive explorer enumerates the rows directly,
+ * and the §4.2 command accounting comes from the shared action
+ * implementations instead of per-scheme code.
  *
  * The table's state is the per-block directory state, stored in the
  * TwoBitDirectory tiered store (at most four states, the economy
@@ -72,6 +73,8 @@ enum class TableGuard : std::uint8_t
     OtherHoldersNone,
     /** At least one other cache holds a valid copy. */
     OtherHoldersSome,
+    /** Exactly one other cache holds a valid copy. */
+    OtherHoldersOne,
     /** The (unique) remote owner copy is dirty (M/O). */
     OwnerDirty,
     /** The remote owner copy is clean (Exclusive). */
@@ -133,6 +136,10 @@ enum class ActionOp : std::uint8_t
     /** Directed INVALIDATE(a, p) to every other cache holding a clean
      *  copy (ascending p); always useful. */
     SendInvHolders,
+    /** As SendInvHolders, but each holder keeps (or drops to) a
+     *  Shared copy instead of invalidating; memory supplies the data
+     *  (follow with ReadMem). */
+    SendShareHolders,
     /** Directed PURGE(a, owner, "read"): owner puts + write-back,
      *  keeps a clean Shared copy. */
     SendPurgeRead,
@@ -148,7 +155,7 @@ enum class ActionOp : std::uint8_t
     SendFetchInvOwner,
 };
 
-constexpr unsigned numActionOps = 17;
+constexpr unsigned numActionOps = 18;
 
 /** One action: opcode plus its immediate argument. */
 struct TableAction
@@ -323,9 +330,10 @@ class TableProtocol : public Protocol
 
     DirStoreCounters dirStoreCounters() const override;
 
-    /** Generic: every cached block meets its state's constraints, and
-     *  every copy equals the modified copy if any, else memory; panics
-     *  on violation. */
+    /** Generic: every cached block meets its state's constraints,
+     *  every copy equals the modified copy if any, else memory, and an
+     *  Exclusive or Modified copy is the only one; panics on
+     *  violation. */
     void checkInvariants() const override;
 
     /** Why `holders` copies of block a, `modified` of them dirty,

@@ -102,10 +102,11 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_pair(0.05, 0.2),
                       std::make_pair(0.05, 0.4)),
     [](const ::testing::TestParamInfo<std::pair<double, double>> &i) {
-        return "q" + std::to_string(static_cast<int>(
-                         i.param.first * 100)) +
-               "_w" + std::to_string(static_cast<int>(
-                          i.param.second * 100));
+        std::string name = "q";
+        name += std::to_string(static_cast<int>(i.param.first * 100));
+        name += "_w";
+        name += std::to_string(static_cast<int>(i.param.second * 100));
+        return name;
     });
 
 } // namespace

@@ -152,8 +152,11 @@ TEST(FlatMap, MoveSemantics)
 TEST(FlatMap, ClearAndReuse)
 {
     FlatMap<std::uint64_t, std::string> m;
-    for (std::uint64_t k = 0; k < 50; ++k)
-        m.tryEmplace(k, "v" + std::to_string(k));
+    for (std::uint64_t k = 0; k < 50; ++k) {
+        std::string v = "v";
+        v += std::to_string(k);
+        m.tryEmplace(k, std::move(v));
+    }
     m.clear();
     EXPECT_TRUE(m.empty());
     m.tryEmplace(3, "fresh");

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include "proto/full_map_local.hh"
 #include "proto/protocol_factory.hh"
 #include "proto/table_engine.hh"
 #include "util/bitset.hh"
@@ -28,12 +27,23 @@ config(ProcId n = 4, std::size_t sets = 64, std::size_t ways = 4)
     return cfg;
 }
 
-/** The full map as the factory builds it (the table engine). */
+/** A full-map scheme as the factory builds it (the table engine). */
 std::unique_ptr<TableProtocol>
-makeFullMap(const ProtoConfig &cfg)
+makeFullMap(const ProtoConfig &cfg, const std::string &name = "full_map")
 {
     return std::unique_ptr<TableProtocol>(&dynamic_cast<TableProtocol &>(
-        *makeProtocol("full_map", cfg).release()));
+        *makeProtocol(name, cfg).release()));
+}
+
+/** Fire count of the row `describeRow` renders as `desc`. */
+std::uint64_t
+rowFired(const TableProtocol &p, const std::string &desc)
+{
+    for (std::size_t i = 0; i < p.table().rows.size(); ++i)
+        if (describeRow(p.table(), i) == desc)
+            return p.rowHits()[i];
+    ADD_FAILURE() << "no row " << desc;
+    return 0;
 }
 
 /** The n+1 bits of block a: the engine keeps the presence bits in the
@@ -159,68 +169,96 @@ TEST(FullMap, DirectoryCostGrowsWithN)
 
 TEST(FullMapLocal, FirstReaderGetsExclusiveCleanCopy)
 {
-    FullMapLocalProtocol p(config());
+    auto p = makeFullMap(config(), "full_map_local");
     const Addr a = 30;
-    p.access(0, a, false);
-    EXPECT_EQ(p.cache(0).peek(a)->state, LineState::Exclusive);
+    p->access(0, a, false);
+    EXPECT_EQ(p->cache(0).peek(a)->state, LineState::Exclusive);
 }
 
 TEST(FullMapLocal, SilentUpgradeCostsNoMessages)
 {
-    FullMapLocalProtocol p(config());
+    auto p = makeFullMap(config(), "full_map_local");
     const Addr a = 31;
-    p.access(0, a, false); // Exclusive
-    const AccessCounts before = p.counts();
-    p.access(0, a, true, 5);
-    const AccessCounts d = p.counts() - before;
+    p->access(0, a, false); // Exclusive
+    const AccessCounts before = p->counts();
+    p->access(0, a, true, 5);
+    const AccessCounts d = p->counts() - before;
     EXPECT_EQ(d.netMessages, 0u);
     EXPECT_EQ(d.mrequests, 0u);
-    EXPECT_EQ(p.silentUpgrades(), 1u);
+    EXPECT_EQ(rowFired(*p, "(Exclusive, WriteHitClean, Always) -> "
+                           "Exclusive"),
+              1u);
 }
 
 TEST(FullMapLocal, RemoteReadAfterSilentUpgradeRecoversData)
 {
-    FullMapLocalProtocol p(config());
+    auto p = makeFullMap(config(), "full_map_local");
     const Addr a = 32;
-    p.access(0, a, false);
-    p.access(0, a, true, 77); // silent upgrade: directory thinks clean
-    p.access(1, a, false);    // must still see 77
-    EXPECT_EQ(p.access(1, a, false), 77u);
-    EXPECT_EQ(p.memValue(a), 77u); // write-back happened on the query
+    p->access(0, a, false);
+    p->access(0, a, true, 77); // silent upgrade: directory thinks clean
+    p->access(1, a, false);    // must still see 77
+    EXPECT_EQ(p->access(1, a, false), 77u);
+    EXPECT_EQ(p->memValue(a), 77u); // write-back happened on the query
 }
 
 TEST(FullMapLocal, SecondReaderDowngradesExclusive)
 {
-    FullMapLocalProtocol p(config());
+    auto p = makeFullMap(config(), "full_map_local");
     const Addr a = 33;
-    p.access(0, a, false);
-    p.access(1, a, false);
-    EXPECT_EQ(p.cache(0).peek(a)->state, LineState::Shared);
-    EXPECT_EQ(p.cache(1).peek(a)->state, LineState::Shared);
+    p->access(0, a, false);
+    p->access(1, a, false);
+    EXPECT_EQ(p->cache(0).peek(a)->state, LineState::Shared);
+    EXPECT_EQ(p->cache(1).peek(a)->state, LineState::Shared);
 }
 
 TEST(FullMapLocal, SharedWriteHitStillNeedsInvalidations)
 {
-    FullMapLocalProtocol p(config());
+    auto p = makeFullMap(config(), "full_map_local");
     const Addr a = 34;
-    p.access(0, a, false);
-    p.access(1, a, false); // both Shared
-    p.access(0, a, true, 5);
-    EXPECT_EQ(p.lastDelta().mrequests, 1u);
-    EXPECT_EQ(p.lastDelta().invalidations, 1u);
-    EXPECT_EQ(p.holders(a), std::vector<ProcId>{0});
+    p->access(0, a, false);
+    p->access(1, a, false); // both Shared
+    p->access(0, a, true, 5);
+    EXPECT_EQ(p->lastDelta().mrequests, 1u);
+    EXPECT_EQ(p->lastDelta().invalidations, 1u);
+    EXPECT_EQ(p->holders(a), std::vector<ProcId>{0});
+}
+
+TEST(FullMapLocal, SoleSharedHolderIsQueried)
+{
+    // Two readers share a; one is evicted, so the directory sees a
+    // single holder it cannot tell from a silent upgrader.  The next
+    // read miss queries that holder and reads memory: no purge.
+    auto p = makeFullMap(config(4, 1, 1), "full_map_local");
+    const Addr a = 40;
+    const Addr b = 41;
+    p->access(0, a, false);
+    p->access(1, a, false); // both Shared
+    p->access(0, b, false); // cache 0 ejects a
+    ASSERT_EQ(p->holders(a), std::vector<ProcId>{1});
+    p->access(2, a, false);
+    const AccessCounts d = p->lastDelta();
+    EXPECT_EQ(d.directedCmds, 1u);
+    EXPECT_EQ(d.memReads, 1u);
+    EXPECT_EQ(d.purges, 0u);
+    EXPECT_EQ(d.writebacks, 0u);
+    EXPECT_EQ(d.uselessCmds, 0u);
+    EXPECT_EQ(rowFired(*p, "(Shared, ReadMiss, OtherHoldersOne) -> "
+                           "Shared"),
+              1u);
+    EXPECT_EQ(p->cache(1).peek(a)->state, LineState::Shared);
+    EXPECT_EQ(p->cache(2).peek(a)->state, LineState::Shared);
 }
 
 TEST(FullMapLocal, InvariantsUnderMigration)
 {
-    FullMapLocalProtocol p(config(4, 2, 2));
+    auto p = makeFullMap(config(4, 2, 2), "full_map_local");
     for (int i = 0; i < 500; ++i) {
         const auto proc = static_cast<ProcId>((i * 7) % 4);
         const Addr a = static_cast<Addr>(i % 10);
-        p.access(proc, a, i % 4 == 0, 20000u + i);
-        p.checkInvariants();
+        p->access(proc, a, i % 4 == 0, 20000u + i);
+        p->checkInvariants();
     }
-    EXPECT_EQ(p.counts().uselessCmds, 0u);
+    EXPECT_EQ(p->counts().uselessCmds, 0u);
 }
 
 } // namespace

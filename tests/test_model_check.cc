@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -124,6 +125,7 @@ TEST(ModelCheck, FlushActionCoversEject)
     without.includeFlush = false;
     ASSERT_TRUE(protocolSupportsFlush("two_bit"));
     ASSERT_TRUE(protocolSupportsFlush("dup_dir"));     // inherited
+    ASSERT_TRUE(protocolSupportsFlush("full_map_local"));
     ASSERT_FALSE(protocolSupportsFlush("illinois"));
     ASSERT_FALSE(protocolSupportsFlush("software"));
     const ExploreResult rw = explore(with);
@@ -161,34 +163,38 @@ TEST(ModelCheck, DepthBoundReportsUnclosed)
 TEST(ModelCheck, DefaultGridMeetsAcceptanceBar)
 {
     // The grid the model_check tool runs must include both acceptance
-    // configurations for every checked protocol.
+    // configurations and the 3-cache cell for every checked protocol.
     const auto grid = defaultExplorerGrid();
     for (const auto &name : allCheckedProtocols()) {
-        for (std::size_t blocks : {std::size_t{1}, std::size_t{2}}) {
+        for (const auto &[procs, blocks] :
+             {std::pair<ProcId, std::size_t>{2, 1}, {2, 2}, {3, 1}}) {
             const bool present =
                 std::any_of(grid.begin(), grid.end(),
                             [&](const ExplorerConfig &c) {
                                 return c.protocol == name &&
-                                       c.numProcs == 2 &&
+                                       c.numProcs == procs &&
                                        c.numBlocks == blocks;
                             });
-            EXPECT_TRUE(present)
-                << name << " x " << blocks << " block(s) missing";
+            EXPECT_TRUE(present) << name << ": " << procs << " x "
+                                 << blocks << " cell missing";
         }
     }
 }
 
-/** The default-grid cells of one protocol: the two acceptance cells
- *  plus the direct-mapped replacement-pressure cell.  Row coverage is
- *  defined over their UNION — evict rows only fire in the tight
- *  cell. */
+/** The default-grid cells of one protocol: the two acceptance cells,
+ *  the direct-mapped replacement-pressure cell and the 3-proc cell.
+ *  Row coverage is defined over their UNION — evict rows only fire in
+ *  the tight cell, rows guarded on two other holders only with three
+ *  caches. */
 std::vector<ExplorerConfig>
 tableGridFor(const std::string &name)
 {
     ExplorerConfig tight = cell(name, 2);
     tight.sets = 1;
     tight.ways = 1;
-    return {cell(name, 1), cell(name, 2), tight};
+    ExplorerConfig three = cell(name, 1);
+    three.numProcs = 3;
+    return {cell(name, 1), cell(name, 2), tight, three};
 }
 
 TEST(ModelCheck, TableProtocolsHaveNoUnreachableRows)
@@ -200,7 +206,7 @@ TEST(ModelCheck, TableProtocolsHaveNoUnreachableRows)
     // bugs.
     for (const std::string name :
          {"two_bit_table", "two_bit_nop1", "two_bit_wt", "full_map_table",
-          "moesi"}) {
+          "full_map_local", "moesi"}) {
         const auto grid = tableGridFor(name);
         const auto results = exploreGrid(grid);
         ASSERT_EQ(results.size(), grid.size());
@@ -225,7 +231,7 @@ TEST(ModelCheck, TableProtocolsHaveNoUnreachableRows)
 
 TEST(ModelCheck, HandWrittenProtocolsReportNoRowCoverage)
 {
-    const ExploreResult r = explore(cell("full_map_local", 1));
+    const ExploreResult r = explore(cell("classical", 1));
     EXPECT_EQ(r.totalRows, 0u);
     EXPECT_TRUE(r.rowsFired.empty());
     EXPECT_TRUE(r.unreachableRows.empty());

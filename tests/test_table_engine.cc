@@ -99,6 +99,7 @@ TEST(TableValidate, ShippedTablesAreValid)
     EXPECT_TRUE(twoBitNoPresent1Table().validate().empty());
     EXPECT_TRUE(twoBitWtTable().validate().empty());
     EXPECT_TRUE(fullMapTable().validate().empty());
+    EXPECT_TRUE(fullMapLocalTable().validate().empty());
     EXPECT_TRUE(moesiTable().validate().empty());
 }
 
@@ -111,6 +112,8 @@ TEST(TableValidate, ShippedTableShapes)
     EXPECT_EQ(twoBitWtTable().rows.size(), 11u);
     EXPECT_EQ(twoBitWtTable().stateNames.size(), 3u);
     EXPECT_EQ(fullMapTable().rows.size(), 12u);
+    EXPECT_EQ(fullMapLocalTable().rows.size(), 17u);
+    EXPECT_EQ(fullMapLocalTable().stateNames.size(), 3u);
     EXPECT_EQ(moesiTable().rows.size(), 24u);
     EXPECT_TRUE(twoBitTable().anyStateEvent(EventClass::ReadHit));
     EXPECT_TRUE(twoBitTable().anyStateEvent(EventClass::WriteHitDirty));
@@ -294,6 +297,19 @@ TEST(TableProtocolDeath, MissingRowFatalsWithIncompleteTable)
     t.rows.erase(t.rows.begin() + 4);
     TableProtocol proto(t, smallConfig());
     EXPECT_DEATH(proto.access(0, 0, true, 7), "incomplete table");
+}
+
+TEST(TableProtocolDeath, ExclusiveCopyBesideAnotherFailsInvariants)
+{
+    TransitionTable t = tinyTable();
+    // Every read miss grants Exclusive, even to a second reader.
+    t.rows[3].actions[1].arg =
+        static_cast<std::uint8_t>(LineState::Exclusive);
+    TableProtocol proto(t, smallConfig());
+    proto.access(0, 0, false);
+    proto.checkInvariants();
+    proto.access(1, 0, false);
+    EXPECT_DEATH(proto.checkInvariants(), "exclusive copy and 1 other");
 }
 #endif
 

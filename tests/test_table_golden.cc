@@ -8,8 +8,9 @@
  * two_bit_table and full_map_table, so they must hit the very same
  * constants; the variants built on the engine's hooks (translation
  * buffer, duplicated directories, the no-Present1 ablation, the §4.4(a)
- * snoop filter) and the write-through scheme carry digests captured
- * from the hand-written code they replaced.  Regenerate only for an intentional protocol change.
+ * snoop filter), the write-through scheme and the Yen-Fu full map
+ * carry digests captured from the hand-written code they replaced.
+ * Regenerate only for an intentional protocol change.
  */
 
 #include <gtest/gtest.h>
@@ -125,7 +126,8 @@ struct VariantCase
 // variants were derived from before they moved onto the engine.  The
 // write-through scheme's capture counts every write hit as a clean
 // one (writeHitsClean), as the engine does; its hand-written code
-// counted only those on Present*.
+// counted only those on Present*.  The Yen-Fu full map's capture is
+// of its hand-written code as it stood, unchanged.
 const VariantCase variantCases[] = {
     {"two_bit_nop1", "two_bit_nop1", {}, 0x8af80d070e8e7febULL},
     {"two_bit_tb(4)", "two_bit_tb",
@@ -139,6 +141,7 @@ const VariantCase variantCases[] = {
      0xb22e669ae8b47205ULL},
     {"dup_dir", "dup_dir", {}, 0x17dfd4eb97dda7d4ULL},
     {"two_bit_wt", "two_bit_wt", {}, 0xc2ebf1dafbac3d8dULL},
+    {"full_map_local", "full_map_local", {}, 0xc17329bfb71f988eULL},
 };
 
 TEST(TableGoldenDigest, VariantDigestsMatchCheckedInValues)
